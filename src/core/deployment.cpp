@@ -81,6 +81,11 @@ Deployment::Deployment(DeploymentConfig config)
     for (const auto& lus : lookups_) {
       (void)historian_->join(lus, lrm_, config_.lease_duration);
     }
+    // One hub feeds the historian from every ESP, managed or provisioned:
+    // one flush timer, one subscription, one flush in flight.
+    feeder_hub_ = std::make_unique<hist::FeederHub>(scheduler_, accessor_,
+                                                    config_.history_feed);
+    if (!lookups_.empty()) feeder_hub_->bind(lookups_.front(), lrm_);
   }
 
   ManagerConfig manager_config;
@@ -90,18 +95,14 @@ Deployment::Deployment(DeploymentConfig config)
   // (no-rendezvous) collections across the deployment's worker pool.
   manager_config.collection.pool = pool_.get();
   manager_config.sampling = config_.sampling;
-  manager_config.history_push = config_.with_historian;
-  manager_config.history_feed = config_.history_feed;
+  manager_config.history_hub = feeder_hub_.get();
   manager_ = std::make_unique<SensorNetworkManager>(accessor_, scheduler_,
                                                     lrm_, manager_config);
   manager_->attach_network(&network_);
   provisioner_ = std::make_unique<SensorServiceProvisioner>(
       *monitor_, accessor_, scheduler_, manager_config.collection,
       config_.sampling);
-  if (config_.with_historian && !lookups_.empty()) {
-    provisioner_->enable_history(config_.history_feed, lookups_.front(),
-                                 &lrm_);
-  }
+  if (feeder_hub_) provisioner_->enable_history(*feeder_hub_);
   if (config_.with_flow) {
     flow::FlowManagerConfig flow_config = config_.flow;
     flow_config.sample_period = config_.sampling.sample_period;

@@ -19,6 +19,7 @@
 #include "core/network_manager.h"
 #include "core/provisioner.h"
 #include "flow/manager.h"
+#include "hist/feeder.h"
 #include "hist/historian.h"
 #include "registry/discovery.h"
 #include "registry/event_mailbox.h"
@@ -55,7 +56,8 @@ struct DeploymentConfig {
   CollectionPolicy collection;
   SamplingPolicy sampling;
   /// Boot a Historian service and feed it from every managed/provisioned
-  /// ESP (sampled readings pushed as appendBatch exertions).
+  /// ESP (sampled readings pushed as appendBatch exertions through one
+  /// deployment-wide FeederHub configured by history_feed).
   bool with_historian = true;
   hist::HistorianConfig historian;
   hist::FeederConfig history_feed;
@@ -119,6 +121,9 @@ class Deployment {
   sorcer::Jobber* jobber() { return jobber_.get(); }
   /// The historian, or null when with_historian is off.
   hist::Historian* historian() { return historian_.get(); }
+  /// The hub every ESP's historian feeder joins, or null when
+  /// with_historian is off.
+  hist::FeederHub* feeder_hub() { return feeder_hub_.get(); }
   /// The flow manager, or null when with_flow is off.
   flow::FlowManager* flow_manager() { return flow_manager_.get(); }
   SensorNetworkManager& manager() { return *manager_; }
@@ -141,6 +146,9 @@ class Deployment {
   // destruction, so the fabric must outlive it.
   std::unique_ptr<sorcer::RemoteInvoker> invoker_;
   sorcer::ServiceAccessor accessor_;
+  // Declared after accessor_ and the registries it uses; ESPs that outlive
+  // it (a lookup service still holding a proxy) find their hub gone.
+  std::unique_ptr<hist::FeederHub> feeder_hub_;
   std::unique_ptr<util::ThreadPool> pool_;
   sorcer::ExertSpace space_;
   std::shared_ptr<sorcer::Jobber> jobber_;

@@ -100,10 +100,9 @@ void ElementarySensorProvider::sample_once() {
 }
 
 hist::HistorianFeeder& ElementarySensorProvider::enable_history(
-    sorcer::ServiceAccessor& accessor, hist::FeederConfig config) {
+    hist::FeederHub& hub) {
   if (!feeder_) {
-    feeder_ = std::make_unique<hist::HistorianFeeder>(
-        provider_name(), scheduler_, accessor, config);
+    feeder_ = std::make_unique<hist::HistorianFeeder>(provider_name(), hub);
   }
   return *feeder_;
 }

@@ -58,12 +58,11 @@ class ElementarySensorProvider : public sorcer::ServiceProvider,
 
   // --- historian push ------------------------------------------------------------
 
-  /// Start pushing every logged reading at the deployment's historian
-  /// through `accessor` (batched appendBatch exertions). The caller binds
-  /// the returned feeder to a lookup service so pushes start/stop with the
-  /// historian's registration.
-  hist::HistorianFeeder& enable_history(sorcer::ServiceAccessor& accessor,
-                                        hist::FeederConfig config = {});
+  /// Start pushing every logged reading at the deployment's historian:
+  /// the feeder joins `hub`, whose flushes batch the whole fleet's readings
+  /// into appendBatch exertions and start/stop with the historian's
+  /// registration.
+  hist::HistorianFeeder& enable_history(hist::FeederHub& hub);
 
   /// The push feeder, or null when history is not enabled.
   [[nodiscard]] hist::HistorianFeeder* history_feeder() {

@@ -71,9 +71,11 @@ inline constexpr const char* kInfoKind = "sensor/info/kind";
 inline constexpr const char* kInfoMeasurement = "sensor/info/measurement";
 inline constexpr const char* kExpression = "composite/expression";
 inline constexpr const char* kComponentName = "composite/component";
-// Historian paths (hist/): appendBatch inputs ride as parallel arrays so a
-// batch of n readings marshals as three vector<double> values.
+// Historian paths (hist/): appendBatch inputs ride as parallel columns, so
+// a chunk of n readings over any number of series marshals as a fixed set
+// of entries (layout in hist/append_batch.h).
 inline constexpr const char* kHistSensor = "hist/sensor";
+inline constexpr const char* kHistCounts = "hist/counts";
 inline constexpr const char* kHistFrom = "hist/from";
 inline constexpr const char* kHistTo = "hist/to";
 inline constexpr const char* kHistResolution = "hist/resolution";

@@ -34,13 +34,7 @@ SensorNetworkManager::register_elementary(const std::string& name,
       name, std::move(probe), scheduler_, config_.sampling);
   if (!location.empty()) esp->set_location(location);
   join_all(esp);
-  if (config_.history_push) {
-    hist::HistorianFeeder& feeder =
-        esp->enable_history(accessor_, config_.history_feed);
-    if (const auto lookups = accessor_.lookups(); !lookups.empty()) {
-      feeder.bind(lookups.front(), lrm_);
-    }
-  }
+  if (config_.history_hub != nullptr) esp->enable_history(*config_.history_hub);
   owned_.push_back(esp);
   return esp;
 }

@@ -22,11 +22,9 @@ struct ManagerConfig {
   util::SimDuration lease_duration = 30 * util::kSecond;
   CollectionPolicy collection;
   SamplingPolicy sampling;
-  /// Attach a HistorianFeeder to every ESP registered through the manager,
-  /// bound to the first known lookup service, so sampled readings flow to
-  /// the deployment's historian.
-  bool history_push = false;
-  hist::FeederConfig history_feed;
+  /// When set, every ESP registered through the manager gets a feeder on
+  /// this hub, so sampled readings flow to the deployment's historian.
+  hist::FeederHub* history_hub = nullptr;
 };
 
 class SensorNetworkManager {

@@ -41,19 +41,13 @@ util::Status SensorServiceProvisioner::provision_elementary(
       -> std::shared_ptr<sorcer::ServiceProvider> {
     auto esp = std::make_shared<ElementarySensorProvider>(
         instance_name, probe_factory(instance_name), scheduler_, sampling_);
-    if (history_) {
-      hist::HistorianFeeder& feeder =
-          esp->enable_history(accessor_, history_feed_);
-      if (auto lus = history_lus_.lock(); lus && history_lrm_ != nullptr) {
-        feeder.bind(lus, *history_lrm_);
-      }
-    }
+    if (history_hub_ != nullptr) esp->enable_history(*history_hub_);
     if (instance_hook_) instance_hook_(esp);
     return esp;
   };
   opstring.elements.push_back(std::move(element));
   util::Status deployed = monitor_.deploy(std::move(opstring));
-  if (history_ && !historian_instance_.empty()) {
+  if (history_hub_ != nullptr && !historian_instance_.empty()) {
     // The historian dying is survivable — the feeder buffers and replays —
     // so the edge is optional: ESPs degrade, they do not restart.
     for (const auto& svc : monitor_.deployed_instances(name)) {

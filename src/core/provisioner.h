@@ -72,17 +72,13 @@ class SensorServiceProvisioner {
 
   /// Attach historian push to every ESP this provisioner instantiates —
   /// including replacements the monitor re-provisions after a node failure,
-  /// which then backfill the historian from the adopted DataLog.
+  /// which then backfill the historian from the adopted DataLog. Their
+  /// feeders join `hub`, the one the network manager's ESPs share.
   /// `historian_instance` names the deployed historian for the optional
   /// dependency edge each history-fed ESP gets.
-  void enable_history(hist::FeederConfig config,
-                      std::weak_ptr<registry::LookupService> lus,
-                      registry::LeaseRenewalManager* lrm,
+  void enable_history(hist::FeederHub& hub,
                       std::string historian_instance = "Historian") {
-    history_ = true;
-    history_feed_ = config;
-    history_lus_ = std::move(lus);
-    history_lrm_ = lrm;
+    history_hub_ = &hub;
     historian_instance_ = std::move(historian_instance);
   }
 
@@ -103,10 +99,7 @@ class SensorServiceProvisioner {
   util::Scheduler& scheduler_;
   CollectionPolicy collection_;
   SamplingPolicy sampling_;
-  bool history_ = false;
-  hist::FeederConfig history_feed_;
-  std::weak_ptr<registry::LookupService> history_lus_;
-  registry::LeaseRenewalManager* history_lrm_ = nullptr;
+  hist::FeederHub* history_hub_ = nullptr;
   std::string historian_instance_;
   std::function<void(const std::shared_ptr<sorcer::ServiceProvider>&)>
       instance_hook_;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/interfaces.h"
+#include "hist/append_batch.h"
 #include "obs/metrics.h"
 #include "sorcer/exert.h"
 #include "sorcer/exertion.h"
@@ -238,13 +239,13 @@ std::size_t StageRunner::flush_sink() {
   pending_.clear();
 
   // Group the window by sensor (emissions from concurrent flows interleave
-  // S0,S1,S2,... — run-length chunking would ship one reading per call),
-  // then cut each group into max_batch appendBatch chunks, pipelined as a
-  // single scatter-gather batch. Per-sensor order is preserved; order
-  // across sensors is immaterial (distinct series). Emissions land under
-  // the flow-qualified series so they never collide with the feeder's raw
-  // push of the same sensor — and the historian's timestamp dedup still
-  // makes chunk replays after a lost response idempotent.
+  // S0,S1,S2,...) and marshal the groups with the historian feeders' batch
+  // builder: multi-series appendBatch chunks, pipelined as a single
+  // scatter-gather batch. Per-sensor order is preserved; order across
+  // sensors is immaterial (distinct series). Emissions land under the
+  // flow-qualified series so they never collide with the feeder's raw push
+  // of the same sensor — and the historian's timestamp dedup still makes
+  // chunk replays after a lost response idempotent.
   std::vector<std::pair<std::string, std::vector<sensor::Reading>>> groups;
   for (const Emission& emission : window) {
     auto it = std::find_if(
@@ -256,63 +257,41 @@ std::size_t StageRunner::flush_sink() {
     }
     it->second.push_back(emission.reading);
   }
-
-  std::vector<sorcer::ExertionPtr> chunks;
-  std::vector<std::vector<Emission>> chunk_emissions;
+  std::vector<std::string> series;
+  std::vector<hist::SeriesSlice> slices;
+  series.reserve(groups.size());
+  slices.reserve(groups.size());
   for (const auto& [sensor, readings] : groups) {
-    std::size_t offset = 0;
-    while (offset < readings.size()) {
-      const std::size_t n =
-          std::min(config_.max_batch, readings.size() - offset);
-      std::vector<double> timestamps;
-      std::vector<double> values;
-      std::vector<double> qualities;
-      timestamps.reserve(n);
-      values.reserve(n);
-      qualities.reserve(n);
-      std::vector<Emission> carried;
-      carried.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const sensor::Reading& r = readings[offset + i];
-        timestamps.push_back(static_cast<double>(r.timestamp));
-        values.push_back(r.value);
-        qualities.push_back(0.0);
-        carried.push_back(Emission{sensor, r});
-      }
-      auto task = sorcer::Task::make(
-          "flow-sink:" + flow_,
-          {core::kDataCollectionType, core::op::kAppendBatch, ""});
-      sorcer::ServiceContext& ctx = task->context();
-      ctx.put(core::path::kHistSensor, flow_ + "/" + sensor,
-              sorcer::PathDirection::kIn);
-      ctx.put(core::path::kHistTimestamps, std::move(timestamps),
-              sorcer::PathDirection::kIn);
-      ctx.put(core::path::kHistValues, std::move(values),
-              sorcer::PathDirection::kIn);
-      ctx.put(core::path::kHistQualities, std::move(qualities),
-              sorcer::PathDirection::kIn);
-      chunks.push_back(std::move(task));
-      chunk_emissions.push_back(std::move(carried));
-      offset += n;
-    }
+    series.push_back(flow_ + "/" + sensor);
+    slices.push_back({series.back(), readings});
   }
+  std::vector<std::size_t> first_chunk;
+  const std::vector<sorcer::ExertionPtr> chunks = hist::make_append_batches(
+      slices, config_.max_batch, "flow-sink:" + flow_, first_chunk);
   (void)sorcer::exert_all(chunks, accessor_);
 
   std::size_t total = 0;
-  std::vector<Emission> requeue;
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    const std::size_t n = chunk_emissions[i].size();
-    if (chunks[i]->status() == sorcer::ExertStatus::kDone) {
-      total += n;
-      counters_.sink_pushed += n;
-      flow_metrics().sink_pushed.add(n);
-    } else {
+  for (const sorcer::ExertionPtr& chunk : chunks) {
+    if (chunk->status() != sorcer::ExertStatus::kDone) {
       ++counters_.sink_failures;
       flow_metrics().sink_failures.add(1);
-      requeue.insert(requeue.end(), chunk_emissions[i].begin(),
-                     chunk_emissions[i].end());
     }
   }
+  std::vector<Emission> requeue;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    const auto& [sensor, readings] = groups[g];
+    for (std::size_t j = 0; j < readings.size(); ++j) {
+      // The group's j-th reading rode chunk first_chunk[g] + j / max_batch.
+      if (chunks[first_chunk[g] + j / config_.max_batch]->status() ==
+          sorcer::ExertStatus::kDone) {
+        ++total;
+      } else {
+        requeue.push_back(Emission{sensor, readings[j]});
+      }
+    }
+  }
+  counters_.sink_pushed += total;
+  flow_metrics().sink_pushed.add(total);
   if (!requeue.empty()) {
     pending_.insert(pending_.begin(), requeue.begin(), requeue.end());
   }

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/interfaces.h"
+#include "hist/append_batch.h"
 #include "sorcer/context.h"
 
 namespace sensorcer::hist {
@@ -22,14 +23,6 @@ util::Result<util::SimTime> get_time(const sorcer::ServiceContext& ctx,
   }
   return util::Result<util::SimTime>(util::ErrorCode::kInvalidArgument,
                                      "not a time: " + path);
-}
-
-sensor::Quality decode_quality(double q) {
-  switch (static_cast<int>(q)) {
-    case 1: return sensor::Quality::kSuspect;
-    case 2: return sensor::Quality::kBad;
-    default: return sensor::Quality::kGood;
-  }
 }
 
 void put_points(sorcer::ServiceContext& ctx, const SeriesResult& result) {
@@ -69,16 +62,8 @@ std::vector<sensor::Reading> Historian::decode_batch(
     const std::vector<double>& timestamps, const std::vector<double>& values,
     const std::vector<double>& qualities) {
   std::vector<sensor::Reading> out;
-  const std::size_t n = std::min(timestamps.size(), values.size());
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    sensor::Reading r;
-    r.timestamp = static_cast<util::SimTime>(timestamps[i]);
-    r.value = values[i];
-    r.quality = i < qualities.size() ? decode_quality(qualities[i])
-                                     : sensor::Quality::kGood;
-    out.push_back(r);
-  }
+  decode_readings(timestamps, values, qualities, 0,
+                  std::min(timestamps.size(), values.size()), out);
   return out;
 }
 
@@ -93,43 +78,31 @@ void Historian::install_operations() {
       core::op::kAppendBatch,
       [this](sorcer::ServiceContext& ctx) -> util::Status {
         pending_extra_ = 0;
-        auto sensor_name = ctx.get_string(core::path::kHistSensor);
-        if (!sensor_name.is_ok()) return sensor_name.status();
-        // Borrow the batch columns in place — the ingest hot path used to
-        // copy all three series out of the context per call. The peeks are
-        // only used to build `readings`, before any put() below moves the
-        // entry storage.
-        const auto* timestamps = ctx.peek_series(core::path::kHistTimestamps);
-        if (timestamps == nullptr) {
-          return {util::ErrorCode::kInvalidArgument,
-                  "appendBatch: missing timestamps series"};
+        // Borrow the chunk's columns in place and append it series by
+        // series; the borrowed views are done with before any put() below
+        // moves the entry storage.
+        ChunkLayout chunk;
+        if (util::Status ok = read_chunk_layout(ctx, chunk); !ok.is_ok()) {
+          return ok;
         }
-        const auto* values = ctx.peek_series(core::path::kHistValues);
-        if (values == nullptr) {
-          return {util::ErrorCode::kInvalidArgument,
-                  "appendBatch: missing values series"};
-        }
-        if (timestamps->size() != values->size()) {
-          return {util::ErrorCode::kInvalidArgument,
-                  "appendBatch: timestamps/values length mismatch"};
-        }
-        static const std::vector<double> kNoQualities;
-        const auto* qualities = ctx.peek_series(core::path::kHistQualities);
-        const auto readings = decode_batch(
-            *timestamps, *values, qualities ? *qualities : kNoQualities);
-        const AppendOutcome outcome =
-            store_.append(sensor_name.value(), readings);
-        pending_extra_ = static_cast<util::SimDuration>(readings.size()) *
+        AppendOutcome total;
+        for_each_series(chunk, batch_,
+                        [&](std::string_view sensor,
+                            std::span<const sensor::Reading> readings) {
+                          series_name_.assign(sensor);
+                          const AppendOutcome outcome =
+                              store_.append(series_name_, readings);
+                          total.accepted += outcome.accepted;
+                          total.duplicates += outcome.duplicates;
+                        });
+        pending_extra_ = static_cast<util::SimDuration>(
+                             chunk.timestamps.size()) *
                          costs_.per_reading;
         ctx.put(core::path::kHistAccepted,
-                static_cast<std::int64_t>(outcome.accepted),
+                static_cast<std::int64_t>(total.accepted),
                 sorcer::PathDirection::kOut);
         ctx.put(core::path::kHistDuplicates,
-                static_cast<std::int64_t>(outcome.duplicates),
-                sorcer::PathDirection::kOut);
-        ctx.put(core::path::kHistLast,
-                static_cast<std::int64_t>(
-                    store_.last_timestamp(sensor_name.value())),
+                static_cast<std::int64_t>(total.duplicates),
                 sorcer::PathDirection::kOut);
         return util::Status::ok();
       },

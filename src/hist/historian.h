@@ -2,7 +2,8 @@
 // Historian — the federated sensor-data historian provider (PR 4 tentpole).
 //
 // A ServiceProvider exporting the "DataCollection" interface. ESPs push
-// reading batches at it through the PR 3 invocation pipeline (appendBatch);
+// reading batches at it through the invocation pipeline (appendBatch, one
+// or many series per call — see append_batch.h);
 // requestors query ranges, aggregates and downsampled series through the
 // same pipeline (histStats / histRange / histDownsample), typically via
 // SensorcerFacade. Storage is a HistorianStore: per-sensor sharded segments
@@ -53,8 +54,9 @@ class Historian final : public sorcer::ServiceProvider {
   /// (queries then run inline on the op thread).
   [[nodiscard]] ReadExecutor* read_executor() { return read_exec_.get(); }
 
-  /// Decode an appendBatch context's parallel arrays back into readings
-  /// (exposed for tests; the inverse of HistorianFeeder's marshalling).
+  /// Decode one series' parallel columns back into readings, clamped to
+  /// the shorter of timestamps/values (the single-series case of
+  /// for_each_series in append_batch.h).
   static std::vector<sensor::Reading> decode_batch(
       const std::vector<double>& timestamps, const std::vector<double>& values,
       const std::vector<double>& qualities);
@@ -85,6 +87,10 @@ class Historian final : public sorcer::ServiceProvider {
   /// Work-proportional latency of the operation just executed; read by
   /// extra_invocation_latency under the provider's invocation lock.
   util::SimDuration pending_extra_ = 0;
+  /// appendBatch scratch, reused under the invocation lock: one series'
+  /// decoded readings and its name.
+  std::vector<sensor::Reading> batch_;
+  std::string series_name_;
 };
 
 }  // namespace sensorcer::hist

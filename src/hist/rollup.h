@@ -67,7 +67,7 @@ class RollupRing {
   RollupRing(util::SimDuration resolution, std::size_t bucket_count);
 
   [[nodiscard]] util::SimDuration resolution() const { return res_; }
-  [[nodiscard]] std::size_t bucket_capacity() const { return ring_.size(); }
+  [[nodiscard]] std::size_t bucket_capacity() const { return capacity_; }
   [[nodiscard]] bool empty() const { return !any_; }
 
   /// Bucket start containing `t`.
@@ -106,19 +106,33 @@ class RollupRing {
     return evicted_readings_;
   }
 
-  /// Fixed memory footprint of the ring.
+  /// Memory footprint of the ring at full capacity (what budgets charge,
+  /// however many buckets have been written so far).
   [[nodiscard]] std::size_t bytes() const {
-    return ring_.size() * sizeof(RollupBucket);
+    return capacity_ * sizeof(RollupBucket);
   }
 
  private:
+  /// Slots are numbered from the first bucket ever written (`origin_`), so
+  /// a ring fills its slots in order and each slot is constructed the first
+  /// time time reaches it. Storage is reserved on first write — a first
+  /// slice of kFirstSlice buckets, then the exact capacity once the ring
+  /// outgrows it — so a coarse ring that sees a few buckets an hour holds
+  /// a few buckets' worth of memory, not its whole window.
+  static constexpr std::size_t kFirstSlice = 64;
   [[nodiscard]] std::size_t index_of(util::SimTime aligned) const {
-    return static_cast<std::size_t>((aligned / res_) %
-                                    static_cast<util::SimTime>(ring_.size()));
+    return static_cast<std::size_t>(((aligned - origin_) / res_) %
+                                    static_cast<util::SimTime>(capacity_));
   }
+  /// The slot for bucket `aligned`, constructing slots up to it.
+  RollupBucket& slot(util::SimTime aligned);
+  /// The slot for bucket `aligned`, or null when never written.
+  [[nodiscard]] const RollupBucket* peek(util::SimTime aligned) const;
 
   util::SimDuration res_;
-  std::vector<RollupBucket> ring_;
+  std::size_t capacity_;
+  util::SimTime origin_ = 0;
+  std::vector<RollupBucket> ring_;  // size() = slots constructed so far
   bool any_ = false;
   util::SimTime newest_start_ = 0;
   util::SimTime valid_from_ = 0;

@@ -202,7 +202,7 @@ void HistorianStore::evict_for_budget(Shard& shard, const std::string* keep) {
 }
 
 AppendOutcome HistorianStore::append(
-    const std::string& sensor, const std::vector<sensor::Reading>& readings) {
+    const std::string& sensor, std::span<const sensor::Reading> readings) {
   AppendOutcome out;
   if (readings.empty()) return out;
   Shard& shard = shard_for(sensor);

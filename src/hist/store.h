@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -84,7 +85,11 @@ class HistorianStore {
   /// first contact (possibly shedding/evicting cold storage to stay in
   /// budget).
   AppendOutcome append(const std::string& sensor,
-                       const std::vector<sensor::Reading>& readings);
+                       std::span<const sensor::Reading> readings);
+  AppendOutcome append(const std::string& sensor,
+                       const std::vector<sensor::Reading>& readings) {
+    return append(sensor, std::span<const sensor::Reading>(readings));
+  }
 
   /// Newest retained timestamp for `sensor`; -1 when unknown. Feeders use
   /// this to trim backfills after a failover.

@@ -28,7 +28,7 @@ class DataLog {
   void append(const Reading& reading);
 
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t capacity() const { return buffer_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
   /// Readings evicted because the buffer was full.
@@ -63,9 +63,8 @@ class DataLog {
   /// materializing a vector (the historian's raw-scan query path).
   template <typename Fn>
   void for_each(util::SimTime since, util::SimTime until, Fn&& fn) const {
-    const std::size_t cap = buffer_.size();
     for (std::size_t i = first_at_or_after(since); i < size_; ++i) {
-      const Reading& r = buffer_[(head_ + i) % cap];
+      const Reading& r = buffer_[(head_ + i) % capacity_];
       if (r.timestamp >= until) break;
       fn(r);
     }
@@ -74,6 +73,10 @@ class DataLog {
   void clear();
 
  private:
+  std::size_t capacity_;
+  /// Reserved at capacity up front, but slots are constructed by the first
+  /// write that reaches them: a young log touches only what it holds.
+  /// buffer_.size() < capacity_ only before the first wrap, when head_ is 0.
   std::vector<Reading> buffer_;
   std::size_t head_ = 0;  // index of the oldest element
   std::size_t size_ = 0;

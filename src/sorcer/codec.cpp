@@ -286,14 +286,22 @@ PathInternTable::Adopt PathInternTable::adopt_epoch(std::uint32_t epoch) {
 // --- flat codec --------------------------------------------------------------
 
 void encode_context(const ServiceContext& ctx, PathInternTable& interner,
-                    WireBuffer& out) {
+                    WireBuffer& out, Leg leg) {
+  const auto carried = [leg](PathDirection d) {
+    return leg == Leg::kRequest || d != PathDirection::kIn;
+  };
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < ctx.size(); ++i) {
+    if (carried(ctx.entry_at(i).direction)) ++count;
+  }
   out.clear();
   put_varint(out, interner.epoch());
   put_varint(out, ctx.name().size());
   put_bytes(out, ctx.name().data(), ctx.name().size());
-  put_varint(out, ctx.size());
+  put_varint(out, count);
   for (std::size_t i = 0; i < ctx.size(); ++i) {
     const ServiceContext::EntryView e = ctx.entry_at(i);
+    if (!carried(e.direction)) continue;
     bool fresh = false;
     const std::uint32_t id = interner.id_for(e.path, fresh);
     put_varint(out, (static_cast<std::uint64_t>(id) << 1) | (fresh ? 1 : 0));
@@ -308,7 +316,8 @@ void encode_context(const ServiceContext& ctx, PathInternTable& interner,
 }
 
 util::Status decode_context(const std::uint8_t* data, std::size_t size,
-                            PathInternTable& interner, ServiceContext& into) {
+                            PathInternTable& interner, ServiceContext& into,
+                            Leg leg) {
   Reader r{data, data + size};
   std::uint64_t epoch = 0;
   if (!r.varint(epoch)) return truncated();
@@ -323,7 +332,8 @@ util::Status decode_context(const std::uint8_t* data, std::size_t size,
   std::uint64_t count = 0;
   if (!r.varint(count)) return truncated();
 
-  into.reload_begin(name);
+  const bool reload = leg == Leg::kRequest;
+  if (reload) into.reload_begin(name);
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t key = 0;
     if (!r.varint(key)) return truncated();
@@ -348,10 +358,11 @@ util::Status decode_context(const std::uint8_t* data, std::size_t size,
     const std::uint8_t meta = *r.p++;
     const std::uint8_t tag = meta & 0x0f;
     const auto dir = static_cast<PathDirection>((meta >> 4) & 0x03);
-    ContextValue& slot = into.reload_slot(path, dir);
+    ContextValue& slot =
+        reload ? into.reload_slot(path, dir) : into.merge_slot(path, dir);
     if (!decode_value(r, tag, slot)) return truncated();
   }
-  into.reload_end();
+  if (reload) into.reload_end();
   return util::Status::ok();
 }
 

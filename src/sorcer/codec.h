@@ -123,12 +123,21 @@ class PathInternTable {
   std::uint32_t epoch_ = 0;
 };
 
+/// Which leg of a call an encoding rides. A request carries the whole
+/// context and its decode reloads the provider's copy wholesale. A reply
+/// carries outputs only — kIn entries stay with the requestor, which still
+/// holds them — and its decode merges those outputs into the requestor's
+/// context in place.
+enum class Leg { kRequest, kReply };
+
 /// Flat binary codec. encode appends to `out` (cleared first); decode
-/// reloads `into` in place, reusing its storage.
+/// rebuilds (kRequest) or updates (kReply) `into` in place, reusing its
+/// storage.
 void encode_context(const ServiceContext& ctx, PathInternTable& interner,
-                    WireBuffer& out);
+                    WireBuffer& out, Leg leg = Leg::kRequest);
 util::Status decode_context(const std::uint8_t* data, std::size_t size,
-                            PathInternTable& interner, ServiceContext& into);
+                            PathInternTable& interner, ServiceContext& into,
+                            Leg leg = Leg::kRequest);
 
 /// The legacy string envelope (what PR 3 modeled with wire_bytes() + a
 /// 64-byte envelope): full path strings on every entry, and a decode that

@@ -209,6 +209,19 @@ ContextValue& ServiceContext::reload_slot(std::string_view path,
   return entries_.back().value;
 }
 
+ContextValue& ServiceContext::merge_slot(std::string_view path,
+                                         PathDirection direction) {
+  wire_bytes_dirty_ = true;
+  auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), path,
+      [](const Entry& e, std::string_view p) { return e.path < p; });
+  if (it == entries_.end() || it->path != path) {
+    it = entries_.insert(it, Entry{std::string(path), ContextValue{}, direction});
+  }
+  it->direction = direction;
+  return it->value;
+}
+
 void ServiceContext::reload_end() {
   entries_.resize(reload_count_);
   wire_bytes_dirty_ = true;

@@ -116,6 +116,11 @@ class ServiceContext {
   ContextValue& reload_slot(std::string_view path, PathDirection direction);
   void reload_end();
 
+  /// A decoded reply updates the context instead: the entry at `path`
+  /// (inserted when absent) with its direction set, value left for the
+  /// decoder to overwrite in place. Entries the reply omits are untouched.
+  ContextValue& merge_slot(std::string_view path, PathDirection direction);
+
  private:
   struct Entry {
     std::string path;

@@ -256,6 +256,13 @@ FanOut exert_all(const std::vector<ExertionPtr>& batch,
   // behind the single virtual-time scheduler.
   if (accessor.wire_transport()) return exert_all_wire(batch, accessor, txn);
   if (pool != nullptr && batch.size() > 1) {
+    if (pool->on_worker_thread()) {
+      // Nested fan-out on a worker: waiting on this pool's queue would
+      // deadlock once every worker did. Run inline; the caller still models
+      // the batch as pooled, so modeled latency is unchanged.
+      for (const auto& exertion : batch) (void)exert(exertion, accessor, txn);
+      return FanOut::kPooled;
+    }
     std::vector<std::future<void>> futures;
     futures.reserve(batch.size());
     for (const auto& exertion : batch) {

@@ -290,14 +290,14 @@ void RemoteInvoker::finish_call(PendingCall& call, const Arrival* arrival) {
       codec_.encode[arrival->from].reset();
     }
     if (transport_status.is_ok() && arrival->payload) {
-      // Unmarshal the provider's response context back into the exertion —
-      // the requestor-side half of the real codec work the payload_bytes
-      // charge was sized from.
+      // Merge the provider's outputs back into the exertion's context — the
+      // requestor-side half of the real codec work the payload_bytes charge
+      // was sized from. Inputs the reply omits stay as they are.
       MarshalTimer timer;
       transport_status =
           decode_context(arrival->payload->data(), arrival->payload->size(),
                          codec_.decode[arrival->from],
-                         call.exertion_->context());
+                         call.exertion_->context(), Leg::kReply);
       if (transport_status.code() == util::ErrorCode::kCodecDesync) {
         // Our side of the response stream is broken; the next request tells
         // the provider to restart it.
@@ -473,6 +473,13 @@ FanOut invoke_servicer_all(
     return FanOut::kWire;
   }
   if (pool != nullptr && calls.size() > 1) {
+    if (pool->on_worker_thread()) {
+      // Nested fan-out on a worker (see exert_all): inline, modeled pooled.
+      for (const auto& [servicer, exertion] : calls) {
+        (void)invoke_servicer(accessor, servicer, exertion, txn);
+      }
+      return FanOut::kPooled;
+    }
     std::vector<std::future<void>> futures;
     futures.reserve(calls.size());
     for (const auto& [servicer, exertion] : calls) {

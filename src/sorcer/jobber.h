@@ -11,6 +11,7 @@
 // round-trips overlap on the fabric — concurrency comes from the messaging
 // layer there, not from threads.
 
+#include <atomic>
 #include <memory>
 
 #include "sorcer/accessor.h"
@@ -43,7 +44,7 @@ class Jobber : public ServiceProvider {
 
   ServiceAccessor& accessor_;
   util::ThreadPool* pool_;
-  std::uint64_t jobs_ = 0;
+  std::atomic<std::uint64_t> jobs_{0};  // nested jobs run on pool workers
 };
 
 }  // namespace sensorcer::sorcer

@@ -142,14 +142,15 @@ void ServiceProvider::handle_network_message(const simnet::Message& msg) {
 
   auto result = service(req->exertion, req->txn);
 
-  // Marshal the post-dispatch context into a pooled buffer; the requestor
-  // unmarshals it on gather. The response's intern table is keyed by the
+  // Marshal the post-dispatch outputs into a pooled buffer; the requestor
+  // merges them into its context on gather (it still holds the inputs, so
+  // they are not echoed). The response's intern table is keyed by the
   // requestor endpoint, so repeated calls from one peer shrink to ids.
   BufferPool::Handle payload = codec_->buffers->acquire();
   {
     MarshalTimer timer;
     encode_context(req->exertion->context(), codec_->encode[req->reply_to],
-                   *payload);
+                   *payload, Leg::kReply);
   }
 
   simnet::Message rsp;

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdio>
+#include <mutex>
 
 namespace sensorcer::util {
 namespace {
@@ -65,6 +66,12 @@ Uuid IdGenerator::next() {
 IdGenerator& global_id_generator() {
   static IdGenerator gen{0xc0ffee'5e45'0123ull};
   return gen;
+}
+
+Uuid new_uuid() {
+  static std::mutex mu;
+  std::lock_guard lock(mu);
+  return global_id_generator().next();
 }
 
 }  // namespace sensorcer::util

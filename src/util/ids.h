@@ -45,10 +45,12 @@ class IdGenerator {
 };
 
 /// Process-wide generator used where plumbing a generator is not worth it.
+/// Reseed it only while no other thread draws ids.
 IdGenerator& global_id_generator();
 
-/// Convenience: draw from the process-wide generator.
-inline Uuid new_uuid() { return global_id_generator().next(); }
+/// Draw from the process-wide generator; safe from any thread (pool
+/// workers mint exertion ids concurrently).
+Uuid new_uuid();
 
 }  // namespace sensorcer::util
 

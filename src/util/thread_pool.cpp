@@ -2,6 +2,10 @@
 
 namespace sensorcer::util {
 
+namespace {
+thread_local const ThreadPool* t_worker_of = nullptr;
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();
@@ -27,7 +31,10 @@ void ThreadPool::wait_idle() {
   idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
+bool ThreadPool::on_worker_thread() const { return t_worker_of == this; }
+
 void ThreadPool::worker_loop() {
+  t_worker_of = this;
   while (true) {
     std::function<void()> task;
     {

@@ -44,6 +44,11 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
+  /// True on one of this pool's workers. A worker that submits to its own
+  /// pool and blocks on the futures deadlocks once every worker does so
+  /// (nested fan-outs); such callers run the work inline instead.
+  [[nodiscard]] bool on_worker_thread() const;
+
  private:
   void worker_loop();
 

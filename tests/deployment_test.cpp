@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdlib>
+#include <future>
 #include <map>
 
 #include "core/deployment.h"
@@ -36,6 +39,42 @@ TEST(DeploymentConfigTest, NoThreadsMeansNoPool) {
   // Everything still works inline.
   lab.add_temperature_sensor("S");
   EXPECT_TRUE(lab.facade().get_value("S").is_ok());
+}
+
+TEST(DeploymentConfigTest, NestedCompositeTreeReadsUnderTheDefaultPool) {
+  // Root -> 4 composites -> 4 composites each -> 4 sensors each. Every pool
+  // worker collecting a middle composite fans out again on the same pool;
+  // with all workers waiting on queued children the read used to hang.
+  Deployment lab;  // in-process, 4 workers
+  auto root = lab.manager().create_composite("Root");
+  for (int i = 0; i < 4; ++i) {
+    const std::string mid = "M" + std::to_string(i);
+    lab.manager().create_composite(mid);
+    for (int j = 0; j < 4; ++j) {
+      const std::string leaf = mid + "-L" + std::to_string(j);
+      lab.manager().create_composite(leaf);
+      std::vector<std::string> sensors;
+      for (int k = 0; k < 4; ++k) {
+        sensors.push_back(leaf + "-S" + std::to_string(k));
+        lab.add_temperature_sensor(sensors.back(), 20.0 + k);
+      }
+      ASSERT_TRUE(lab.manager().compose(leaf, sensors).is_ok());
+      ASSERT_TRUE(lab.manager().compose(mid, {leaf}).is_ok());
+    }
+    ASSERT_TRUE(lab.manager().compose("Root", {mid}).is_ok());
+  }
+
+  auto read = std::async(std::launch::async,
+                         [&lab] { return lab.facade().get_value("Root"); });
+  if (read.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+    ADD_FAILURE() << "a 3-level composite read did not return in 30 s";
+    // Deadlocked workers can never be joined; end the binary here.
+    std::_Exit(1);
+  }
+  const auto value = read.get();
+  ASSERT_TRUE(value.is_ok()) << value.status().message();
+  EXPECT_GT(value.value(), 15.0);
+  EXPECT_LT(value.value(), 30.0);
 }
 
 TEST(DeploymentConfigTest, NoRendezvousPeers) {

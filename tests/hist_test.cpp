@@ -1,19 +1,25 @@
 // Tests for the federated sensor-data historian (src/hist/): rollup-ring
 // correctness against brute force over randomized readings, retention and
 // eviction accounting, the coarsest-ring query planner, wire-mode ingestion
-// with byte accounting, feeder bind/unbind on historian transitions, and
-// the failover backfill leaving no gaps in recorded history.
+// with byte accounting, the multi-series appendBatch format, the feeder hub
+// (bind/unbind on historian transitions, partial-failure re-queueing, an
+// in-phase fleet stored within one flush period), and the failover
+// backfill leaving no gaps in recorded history.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <future>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "core/deployment.h"
+#include "hist/append_batch.h"
+#include "hist/feeder.h"
 #include "hist/historian.h"
 #include "hist/read_executor.h"
 #include "hist/rollup.h"
@@ -127,6 +133,61 @@ TEST(RollupRing, RandomizedAggregateMatchesBruteForce) {
       EXPECT_EQ(got.last_ts, want.last_ts);
     }
   }
+}
+
+TEST(RollupRing, WrapThenJumpPastTheWindowMatchesBruteForce) {
+  // A small ring wraps many times, jumps past its whole window, then fills
+  // again; every retained bucket must match a brute-force oracle over the
+  // readings the ring still covers. Slots are built on first write, so this
+  // also walks the lazily constructed storage through wrap and reset.
+  util::Rng rng(99);
+  RollupRing ring(10, 100);  // past the first storage slice: it grows once
+  std::vector<Reading> all;
+  util::SimTime t = 3;
+  const auto append_run = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      t += rng.between(1, 25);
+      const double v = rng.next_double() * 10.0;
+      ASSERT_TRUE(ring.append(t, v));
+      all.push_back(make_reading(t, v));
+    }
+  };
+  const auto check = [&](const char* phase) {
+    const util::SimTime hi = ring.newest_start() + ring.resolution();
+    for (util::SimTime from = ring.retained_from(); from < hi; from += 10) {
+      for (util::SimTime to = from + 10; to <= hi; to += 70) {
+        AggregateStats want;
+        for (const auto& r : all) {
+          if (r.timestamp >= from && r.timestamp < to) {
+            want.add_sample(r.timestamp, r.value);
+          }
+        }
+        const auto got = ring.aggregate(from, to);
+        ASSERT_EQ(got.count, want.count) << phase << " [" << from << ", " << to << ")";
+        if (want.count > 0) {
+          EXPECT_DOUBLE_EQ(got.min, want.min) << phase;
+          EXPECT_DOUBLE_EQ(got.max, want.max) << phase;
+          EXPECT_NEAR(got.sum, want.sum, 1e-9) << phase;
+          EXPECT_EQ(got.last_ts, want.last_ts) << phase;
+        }
+      }
+    }
+  };
+
+  append_run(30);  // partial: inside the first slice
+  check("partial");
+  append_run(1500);  // grows to capacity, then wraps many times
+  check("wrapped");
+  const std::size_t before_jump = all.size();
+  t += 10 * 100 * 5;  // well past the whole window
+  append_run(1);
+  EXPECT_EQ(ring.retained_from(), ring.align(t));
+  EXPECT_EQ(ring.evicted_readings(), before_jump);
+  check("after jump");
+  append_run(200);  // refills from the reset origin and wraps again
+  check("refilled");
+  EXPECT_EQ(ring.bytes(), 100 * sizeof(RollupBucket))
+      << "budgets charge full capacity however few slots are built";
 }
 
 // --- SensorSeries ---------------------------------------------------------------------------
@@ -630,6 +691,246 @@ TEST(Historian, DecodeBatchMapsQualities) {
   EXPECT_DOUBLE_EQ(readings[2].value, 30.0);
   // Mismatched array lengths clamp to the shortest.
   EXPECT_EQ(Historian::decode_batch({1.0, 2.0}, {10.0}, {}).size(), 1u);
+}
+
+// --- multi-series appendBatch ----------------------------------------------------------------
+
+std::vector<Reading> run(std::initializer_list<util::SimTime> timestamps,
+                         Quality q = Quality::kGood) {
+  std::vector<Reading> out;
+  for (const util::SimTime t : timestamps) {
+    out.push_back(make_reading(t, static_cast<double>(t) + 0.5, q));
+  }
+  return out;
+}
+
+std::vector<sorcer::ExertionPtr> batches(const std::vector<SeriesSlice>& slices,
+                                         std::size_t max_batch) {
+  std::vector<std::size_t> first_chunk;
+  return make_append_batches(slices, max_batch, "t", first_chunk);
+}
+
+TEST(AppendBatch, ChunksShareRoomButKeepFittingSeriesWhole) {
+  const auto a = run({1, 2});
+  const auto b = run({1});
+  const auto c = run({1, 2, 3});
+  const auto d = run({1, 2, 3, 4, 5, 6});
+  const auto e = run({9});
+  const std::vector<SeriesSlice> slices{
+      {"A", a}, {"B", b}, {"C", c}, {"D", d}, {"E", e}};
+  std::vector<std::size_t> first_chunk;
+  const auto chunks = make_append_batches(slices, 4, "t", first_chunk);
+  // {A A B} | {C C C} — C fits a chunk, so it is not split across the
+  // boundary — | {D D D D} | {D D E}: only D, longer than a chunk, is cut.
+  ASSERT_EQ(chunks.size(), 4u);
+  EXPECT_EQ(first_chunk, (std::vector<std::size_t>{0, 0, 1, 2, 3}));
+
+  const auto& first = chunks[0]->context();
+  EXPECT_EQ(first.get_string(core::path::kHistSensor).value(), "A\nB");
+  EXPECT_EQ(first.get_series(core::path::kHistCounts).value(),
+            (std::vector<double>{2, 1}));
+  EXPECT_EQ(first.get_series(core::path::kHistTimestamps).value(),
+            (std::vector<double>{1, 2, 1}));
+  EXPECT_FALSE(first.has(core::path::kHistQualities)) << "all good: omitted";
+  // A chunk of one series is the single-series form: no count column.
+  const auto& second = chunks[1]->context();
+  EXPECT_EQ(second.get_string(core::path::kHistSensor).value(), "C");
+  EXPECT_FALSE(second.has(core::path::kHistCounts));
+  EXPECT_EQ(second.get_series(core::path::kHistValues).value(),
+            (std::vector<double>{1.5, 2.5, 3.5}));
+  EXPECT_EQ(chunks[2]->context().get_string(core::path::kHistSensor).value(),
+            "D");
+  const auto& last = chunks[3]->context();
+  EXPECT_EQ(last.get_string(core::path::kHistSensor).value(), "D\nE");
+  EXPECT_EQ(last.get_series(core::path::kHistTimestamps).value(),
+            (std::vector<double>{5, 6, 9}));
+
+  // One non-good reading brings the quality column back for its chunk.
+  const auto suspect = run({7}, Quality::kSuspect);
+  const auto mixed = batches({{"A", a}, {"C", suspect}}, 256);
+  ASSERT_EQ(mixed.size(), 1u);
+  EXPECT_EQ(mixed[0]->context().get_series(core::path::kHistQualities).value(),
+            (std::vector<double>{0, 0, 1}));
+}
+
+TEST(AppendBatch, HistorianDedupsTimestampsPerSeriesAcrossAChunk) {
+  Historian historian("H");
+  const auto push = [&](const std::vector<SeriesSlice>& slices) {
+    auto chunks = batches(slices, 256);
+    EXPECT_EQ(chunks.size(), 1u);
+    (void)historian.service(chunks[0], nullptr);
+    EXPECT_EQ(chunks[0]->status(), sorcer::ExertStatus::kDone);
+    return std::pair{
+        chunks[0]->context().get_double(core::path::kHistAccepted).value(),
+        chunks[0]->context().get_double(core::path::kHistDuplicates).value()};
+  };
+  const auto a = run({1, 2, 3});
+  const auto b = run({1, 2, 3});
+  // Equal timestamps in different series are not duplicates of each other.
+  EXPECT_EQ(push({{"A", a}, {"B", b}}), (std::pair{6.0, 0.0}));
+  // A replayed chunk dedups per series: A3 and B2 were already stored.
+  const auto a2 = run({3, 4});
+  const auto b2 = run({2, 5});
+  EXPECT_EQ(push({{"A", a2}, {"B", b2}}), (std::pair{2.0, 2.0}));
+  const auto range_of = [&](const std::string& sensor) {
+    std::vector<util::SimTime> out;
+    for (const Point& p :
+         historian.store().range(sensor, 0, sensor::kEndOfTime, 100).points) {
+      out.push_back(p.timestamp);
+    }
+    return out;
+  };
+  EXPECT_EQ(range_of("A"), (std::vector<util::SimTime>{1, 2, 3, 4}));
+  EXPECT_EQ(range_of("B"), (std::vector<util::SimTime>{1, 2, 3, 5}));
+
+  // Counts that disagree with the names or the readings fail the chunk
+  // before anything is stored.
+  auto bad = batches({{"A", a2}, {"B", b2}}, 256);
+  bad[0]->context().put(core::path::kHistCounts, std::vector<double>{1, 1},
+                        sorcer::PathDirection::kIn);
+  (void)historian.service(bad[0], nullptr);
+  EXPECT_EQ(bad[0]->status(), sorcer::ExertStatus::kFailed);
+  EXPECT_EQ(historian.store().stats_snapshot().appended, 8u);
+}
+
+/// A DataCollection stand-in that records what it stores and can fail every
+/// chunk carrying a chosen series.
+struct RecordingSink {
+  std::shared_ptr<sorcer::ServiceProvider> provider =
+      std::make_shared<sorcer::ServiceProvider>(
+          "Sink", std::vector<std::string>{core::kDataCollectionType});
+  std::map<std::string, std::vector<util::SimTime>> stored;
+  std::string fail_series;
+  std::vector<Reading> scratch;
+
+  RecordingSink() {
+    provider->add_operation(
+        core::op::kAppendBatch, [this](sorcer::ServiceContext& ctx) {
+          ChunkLayout chunk;
+          if (auto ok = read_chunk_layout(ctx, chunk); !ok.is_ok()) return ok;
+          bool fail = false;
+          for_each_series(chunk, scratch,
+                          [&](std::string_view name, std::span<const Reading>) {
+                            fail = fail || name == fail_series;
+                          });
+          if (fail) return util::Status{util::ErrorCode::kInternal, "refused"};
+          for_each_series(chunk, scratch,
+                          [&](std::string_view name,
+                              std::span<const Reading> readings) {
+                            for (const Reading& r : readings) {
+                              stored[std::string(name)].push_back(r.timestamp);
+                            }
+                          });
+          return util::Status::ok();
+        });
+  }
+};
+
+TEST(FeederHub, FailedChunkRequeuesOnlyItsSensorsAtTheFront) {
+  core::DeploymentConfig config;
+  config.invoke.transport = sorcer::Transport::kWire;
+  config.sampling.sample_period = 0;
+  config.with_historian = false;
+  core::Deployment lab(config);
+  RecordingSink sink;
+  sink.provider->attach_network(lab.network());
+  ASSERT_TRUE(sink.provider->join(lab.lookups().front(), lab.lease_renewal(),
+                                  30 * kSecond)
+                  .is_ok());
+
+  FeederConfig feed;
+  feed.batch_size = 1000;  // flush only when told to
+  feed.flush_period = 0;
+  feed.max_batch = 2;
+  FeederHub hub(lab.scheduler(), lab.accessor(), feed);
+  hub.bind(lab.lookups().front(), lab.lease_renewal());
+  ASSERT_TRUE(hub.bound());
+  HistorianFeeder a("A", hub);
+  HistorianFeeder b("B", hub);
+  HistorianFeeder c("C", hub);
+  a.offer(make_reading(1, 1.0));
+  a.offer(make_reading(2, 2.0));
+  b.offer(make_reading(1, 1.0));
+  c.offer(make_reading(1, 1.0));
+
+  // Chunks: {A1 A2} | {B1 C1}; the second is refused. Readings offered
+  // while the batch is on the wire land behind the re-queued ones.
+  sink.fail_series = "B";
+  lab.scheduler().schedule_after(0, [&] {
+    a.offer(make_reading(3, 3.0));
+    c.offer(make_reading(2, 2.0));
+  });
+  EXPECT_EQ(a.flush(), 2u);
+  EXPECT_EQ(a.pushed(), 2u);
+  EXPECT_EQ(a.pending(), 1u);  // only A3, offered in flight
+  EXPECT_EQ(a.failed_batches(), 0u);
+  EXPECT_EQ(b.pending(), 1u);
+  EXPECT_EQ(c.pending(), 2u);
+  EXPECT_EQ(b.failed_batches(), 1u);
+  EXPECT_EQ(c.failed_batches(), 1u);
+  EXPECT_EQ(sink.stored["A"], (std::vector<util::SimTime>{1, 2}));
+  EXPECT_TRUE(sink.stored["C"].empty());
+
+  sink.fail_series.clear();
+  EXPECT_EQ(hub.flush(), 4u);
+  EXPECT_EQ(sink.stored["A"], (std::vector<util::SimTime>{1, 2, 3}));
+  EXPECT_EQ(sink.stored["B"], (std::vector<util::SimTime>{1}));
+  EXPECT_EQ(sink.stored["C"], (std::vector<util::SimTime>{1, 2}))
+      << "the re-queued reading must go out ahead of the newer one";
+  EXPECT_EQ(a.pending() + b.pending() + c.pending(), 0u);
+}
+
+TEST(FeederHub, InPhaseFleetIsStoredWithinOneFlushPeriod) {
+  // 64 sensors booted together sample in the same instants over the wire.
+  // Per-sensor flush timers used to fire each other's flushes on the stack
+  // of a wire pump and starve past a nesting cap; the hub sends one
+  // multi-series flush per sampling instant instead.
+  core::DeploymentConfig config;
+  config.invoke.transport = sorcer::Transport::kWire;
+  config.with_flow = false;
+  core::Deployment lab(config);
+  constexpr int kSensors = 64;
+  std::vector<std::shared_ptr<core::ElementarySensorProvider>> esps;
+  std::vector<std::vector<util::SimTime>> sampled(kSensors);
+  for (int i = 0; i < kSensors; ++i) {
+    esps.push_back(
+        lab.add_temperature_sensor("F" + std::to_string(i), 15.0 + i % 10));
+    esps.back()->add_reading_tap(
+        [&sampled, i](const Reading& r) { sampled[i].push_back(r.timestamp); });
+  }
+  ASSERT_EQ(lab.feeder_hub()->feeder_count(), static_cast<std::size_t>(kSensors));
+  const util::SimDuration period = config.history_feed.flush_period;
+  const auto wire_before = counter("invoke.wire_calls");
+
+  for (int step = 0; step < 60; ++step) {
+    lab.pump(kSecond);
+    const util::SimTime now = lab.now();
+    for (int i = 0; i < kSensors; ++i) {
+      const auto* feeder = esps[i]->history_feeder();
+      ASSERT_LE(feeder->pending(), 1u)
+          << "feeder " << i << " holds more than one sampling instant at "
+          << now;
+      const util::SimTime last =
+          lab.historian()->store().last_timestamp(esps[i]->provider_name());
+      for (const util::SimTime t : sampled[i]) {
+        if (t + period <= now) {
+          ASSERT_LE(t, last) << "sensor " << i << " sampled at " << t
+                             << " not stored by " << now;
+        }
+      }
+    }
+  }
+  std::size_t total = 0;
+  for (int i = 0; i < kSensors; ++i) {
+    const auto stats = lab.historian()->store().stats(
+        esps[i]->provider_name(), 0, lab.now() + 1, 0);
+    EXPECT_EQ(stats.stats.count + esps[i]->history_feeder()->pending(),
+              sampled[i].size());
+    total += sampled[i].size();
+  }
+  EXPECT_GE(total, static_cast<std::size_t>(kSensors) * 59);
+  // About one appendBatch call per sampling instant, not one per sensor.
+  EXPECT_LT(counter("invoke.wire_calls") - wire_before, 3u * 60u + 60u);
 }
 
 // --- deployment integration -----------------------------------------------------------------

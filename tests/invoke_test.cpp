@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/deployment.h"
+#include "hist/append_batch.h"
 #include "obs/metrics.h"
 #include "sorcer/codec.h"
 #include "sorcer/exert.h"
@@ -491,6 +492,85 @@ TEST(CodecTest, FlatRoundTripPreservesEveryAlternative) {
       sorcer::decode_context(buf.data(), buf.size(), decode_side, decoded)
           .is_ok());
   expect_context_eq(original, decoded);
+}
+
+TEST(CodecTest, AppendBatchReplyOmitsTheReadingsTheRequestorHolds) {
+  // An appendBatch chunk of 64 readings: the request carries the columns,
+  // the historian answers with two counters.
+  std::vector<sensor::Reading> readings;
+  for (int i = 0; i < 64; ++i) {
+    readings.push_back({static_cast<util::SimTime>(i) * kSecond, 20.0 + i,
+                        sensor::Quality::kGood, 0});
+  }
+  const std::vector<hist::SeriesSlice> slices{{"Reply-Sensor", readings}};
+  std::vector<std::size_t> first_chunk;
+  auto chunk =
+      hist::make_append_batches(slices, 256, "t", first_chunk).front();
+  sorcer::ServiceContext& ctx = chunk->context();
+  const sorcer::ServiceContext request = ctx;  // the requestor's copy
+  ctx.put(path::kHistAccepted, std::int64_t{64}, sorcer::PathDirection::kOut);
+  ctx.put(path::kHistDuplicates, std::int64_t{0}, sorcer::PathDirection::kOut);
+
+  sorcer::PathInternTable enc, dec;
+  sorcer::WireBuffer reply;
+  sorcer::encode_context(ctx, enc, reply, sorcer::Leg::kReply);
+  EXPECT_LT(reply.size(), 64u) << "the reply must not echo 64 readings";
+  sorcer::WireBuffer echo;
+  sorcer::PathInternTable enc_all;
+  sorcer::encode_context(ctx, enc_all, echo);
+  EXPECT_GT(echo.size(), 64u * 16u);
+
+  // Merging the reply into the requestor's copy adds the outputs and keeps
+  // every input the reply left out.
+  sorcer::ServiceContext requestor = request;
+  ASSERT_TRUE(sorcer::decode_context(reply.data(), reply.size(), dec,
+                                     requestor, sorcer::Leg::kReply)
+                  .is_ok());
+  EXPECT_EQ(requestor.get_double(path::kHistAccepted).value(), 64.0);
+  EXPECT_EQ(requestor.get_series(path::kHistTimestamps).value(),
+            request.get_series(path::kHistTimestamps).value());
+  EXPECT_EQ(requestor.get_series(path::kHistValues).value(),
+            request.get_series(path::kHistValues).value());
+  EXPECT_EQ(requestor.get_string(path::kHistSensor).value(), "Reply-Sensor");
+  EXPECT_EQ(requestor.size(), request.size() + 2);
+}
+
+TEST(WireInvokeTest, ProviderOutputsArriveThroughOutputOnlyReplies) {
+  Deployment lab(wire_config());
+  lab.add_temperature_sensor("Echo-Sensor", 21.0);
+  ASSERT_NE(lab.historian(), nullptr);
+  std::vector<sensor::Reading> readings;
+  for (int i = 1; i <= 64; ++i) {
+    readings.push_back({static_cast<util::SimTime>(i) * kSecond, 20.0,
+                        sensor::Quality::kGood, 0});
+  }
+  const std::vector<hist::SeriesSlice> slices{{"Echo-Series", readings}};
+  std::vector<std::size_t> first_chunk;
+  auto chunk =
+      hist::make_append_batches(slices, 256, "t", first_chunk).front();
+
+  lab.network().reset_stats();
+  ASSERT_TRUE(sorcer::exert(chunk, lab.accessor()).is_ok());
+  ASSERT_EQ(chunk->status(), sorcer::ExertStatus::kDone);
+  // The historian's outputs reached the requestor; its inputs are intact.
+  EXPECT_EQ(chunk->context().get_double(path::kHistAccepted).value(), 64.0);
+  EXPECT_EQ(chunk->context().get_double(path::kHistDuplicates).value(), 0.0);
+  EXPECT_EQ(chunk->context().get_series(path::kHistTimestamps).value().size(),
+            64u);
+  // The request carried the readings; the reply only the two counters.
+  const auto request_bytes =
+      lab.network().stats_for(lab.invoker().address()).payload_bytes_sent;
+  const auto reply_bytes =
+      lab.network()
+          .stats_for(lab.historian()->network_address())
+          .payload_bytes_sent;
+  EXPECT_GT(request_bytes, 64u * 16u);
+  EXPECT_LT(reply_bytes, 64u);
+
+  // Read outputs (kInOut by default) still come back too.
+  auto read = read_task("Echo-Sensor");
+  ASSERT_TRUE(sorcer::exert(read, lab.accessor()).is_ok());
+  EXPECT_TRUE(read->context().get_double(path::kValue).is_ok());
 }
 
 TEST(CodecTest, EmptyContextRoundTrips) {

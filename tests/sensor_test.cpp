@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "sensor/data_log.h"
 #include "sensor/probe.h"
 #include "util/stats.h"
@@ -296,6 +298,52 @@ TEST(DataLog, ClearEmptiesButKeepsCapacity) {
   EXPECT_EQ(log.capacity(), 4u);
   log.append(make_reading(1, 2.0));
   EXPECT_DOUBLE_EQ(log.latest().value, 2.0);
+}
+
+TEST(DataLog, ClearAfterPartialGrowthMatchesOracle) {
+  // Slots are constructed on first write: clear a half-grown log, refill it
+  // past capacity, and compare against a bounded-deque oracle throughout.
+  DataLog log(8);
+  std::deque<Reading> oracle;
+  util::SimTime t = 0;
+  const auto append = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const Reading r = make_reading(++t, static_cast<double>(t) * 0.5);
+      log.append(r);
+      oracle.push_back(r);
+      if (oracle.size() > 8) oracle.pop_front();
+    }
+  };
+  const auto matches = [&] {
+    const auto got = log.snapshot();
+    if (got.size() != oracle.size() || log.capacity() != 8) return false;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      if (got[i].timestamp != oracle[i].timestamp ||
+          got[i].value != oracle[i].value) {
+        return false;
+      }
+    }
+    return got.empty() || (log.latest().timestamp == oracle.back().timestamp &&
+                           log.oldest().timestamp == oracle.front().timestamp);
+  };
+
+  append(3);
+  EXPECT_TRUE(matches());
+  log.clear();
+  oracle.clear();
+  EXPECT_TRUE(matches());
+  append(2);  // rewrites constructed slots
+  EXPECT_TRUE(matches());
+  append(4);  // grows past the old high-water mark
+  EXPECT_TRUE(matches());
+  append(13);  // fills and wraps
+  EXPECT_TRUE(matches());
+  EXPECT_EQ(log.evicted(), 11u);
+  EXPECT_EQ(log.first_at_or_after(oracle[3].timestamp), 3u);
+  log.clear();
+  oracle.clear();
+  append(5);  // clear after a wrap restarts at the front
+  EXPECT_TRUE(matches());
 }
 
 TEST(DataLog, FirstAtOrAfterBinarySearchMatchesLinearScan) {
