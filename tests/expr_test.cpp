@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string_view>
+#include <utility>
 
 #include "expr/evaluator.h"
 #include "expr/lexer.h"
@@ -275,8 +277,12 @@ TEST(Expression, CopySemanticsAreDeep) {
 
 /// Algebraic identities that must hold for all values: each case is
 /// (lhs expression, rhs expression) evaluated over a grid of (a, b, c).
+/// The sources are string_views so gtest prints the text alone: a pair of
+/// `const char*` prints each pointer's address, which would put a
+/// per-build, ASLR-dependent value into every discovered ctest name.
 class IdentityTest
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+    : public ::testing::TestWithParam<
+          std::pair<std::string_view, std::string_view>> {};
 
 TEST_P(IdentityTest, HoldsOnGrid) {
   const auto [lhs_src, rhs_src] = GetParam();
@@ -420,7 +426,9 @@ TEST_P(FoldingEquivalenceTest, FoldedTreeEvaluatesIdentically) {
       auto v1 = evaluate(*parsed.value(), env);
       auto v2 = evaluate(*folded, env);
       ASSERT_EQ(v1.is_ok(), v2.is_ok());
-      if (v1.is_ok()) EXPECT_DOUBLE_EQ(v1.value(), v2.value());
+      if (v1.is_ok()) {
+        EXPECT_DOUBLE_EQ(v1.value(), v2.value());
+      }
     }
   }
 }
