@@ -20,7 +20,6 @@ void cache_ablation() {
   for (bool cached : {true, false}) {
     core::DeploymentConfig config;
     config.sampling.sample_period = 0;
-    config.worker_threads = 0;
     core::Deployment lab(config);
     lab.accessor().set_caching(cached);
     for (int i = 0; i < 64; ++i) {
@@ -77,7 +76,6 @@ void collection_ablation() {
   for (const Case& c : cases) {
     core::DeploymentConfig config;
     config.sampling.sample_period = 0;
-    config.worker_threads = 0;
     config.collection.strategy = {c.flow, c.access, true};
     core::Deployment lab(config);
     for (int i = 0; i < 64; ++i) {

@@ -37,7 +37,6 @@ CellResult run_cell(std::uint64_t seed, std::size_t providers,
   core::DeploymentConfig dconfig;
   dconfig.cybernodes = cybernodes;
   dconfig.seed = seed;
-  dconfig.invoke.transport = sorcer::Transport::kWire;
   core::Deployment lab(dconfig);
 
   chaos::ChaosConfig config;
@@ -90,7 +89,6 @@ int main(int argc, char** argv) {
     core::DeploymentConfig dconfig;
     dconfig.cybernodes = nodes;
     dconfig.seed = seed;
-    dconfig.invoke.transport = sorcer::Transport::kWire;
     core::Deployment lab(dconfig);
     chaos::ChaosConfig config;
     config.seed = seed;

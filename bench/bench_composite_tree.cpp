@@ -29,6 +29,7 @@ std::size_t build_tree(core::Deployment& lab, const std::string& name,
   policy.strategy.flow = flow;
   auto composite = std::make_shared<core::CompositeSensorProvider>(
       name, lab.accessor(), lab.scheduler(), policy);
+  composite->attach_network(lab.network());
   for (const auto& lus : lab.lookups()) {
     (void)composite->join(lus, lab.lease_renewal(), 3600 * util::kSecond);
   }
@@ -77,7 +78,6 @@ int main() {
            {sorcer::Flow::kParallel, sorcer::Flow::kSequence}) {
         core::DeploymentConfig config;
         config.sampling.sample_period = 0;  // on-demand reads only
-        config.worker_threads = 0;          // deterministic inline execution
         core::Deployment lab(config);
         std::size_t counter = 0;
         leaves = build_tree(lab, "root", depth, fanout, counter, flow);

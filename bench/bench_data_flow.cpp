@@ -23,7 +23,6 @@ int main() {
   for (std::size_t sensors : {10u, 50u, 100u, 500u, 1000u}) {
     core::DeploymentConfig config;
     config.sampling.sample_period = 0;
-    config.worker_threads = 0;  // deterministic
     core::Deployment lab(config);
 
     std::vector<std::shared_ptr<core::ElementarySensorProvider>> fleet;

@@ -1,31 +1,25 @@
 // Experiment CLM-6 (§IV.D): exertion federation — jobs over tasks under the
-// two control strategies. Sweeps job fan-out and reports modeled (virtual)
-// latency for sequential push, parallel push (Jobber) and pull with a
-// worker crew (Spacer), plus real wall-clock for the thread-pooled parallel
-// flow over compute-heavy tasks. Expected shape: sequence grows linearly
-// with fan-out; parallel stays flat; pull interpolates by crew size; real
-// threads give genuine speedup on compute-bound operations.
+// two control strategies. Every dispatch is a request/response message pair
+// on the simnet fabric. Sweeps job fan-out and reports elapsed requestor
+// time (virtual) for sequential push, parallel push (Jobber) and pull with a
+// worker crew (Spacer), then sweeps the pull crew size. Parallel push
+// scatters all children and gathers them with one shared scheduler pump, so
+// N round-trips overlap in virtual time instead of serializing. Expected
+// shape: sequence grows linearly with fan-out; parallel stays flat; pull
+// interpolates by crew size.
 //
-// The wire-mode section reruns the fan-out sweep under Transport::kWire,
-// where every dispatch is a request/response message pair on the simnet
-// fabric: parallel push scatters all children and gathers them with one
-// shared scheduler pump, so N round-trips overlap in virtual time instead
-// of serializing.
-//
-// `bench_exertion wire` runs just the wire section; `bench_exertion smoke`
-// runs a seconds-scale subset (marshalling table + wire sweep, CI under
-// ASan). The marshalling micro-table compares the legacy string envelope
-// against the flat interned codec (PERF-5) on real wall-clock time, payload
-// bytes and heap allocations per call.
+// `bench_exertion wire` runs just the fan-out sweep; `bench_exertion smoke`
+// runs a seconds-scale subset (marshalling table + sweep, CI under ASan).
+// The marshalling micro-table compares the legacy string envelope against
+// the flat interned codec (PERF-5) on real wall-clock time, payload bytes
+// and heap allocations per call.
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
-#include <thread>
 
 #include "registry/lease_renewal.h"
 #include "simnet/network.h"
@@ -41,48 +35,30 @@
 // sanitizers still see every allocation.
 static std::atomic<std::uint64_t> g_alloc_count{0};
 
-void* operator new(std::size_t n) {
+// Kept out of line: with one side inlined GCC pairs a malloc() or free() it
+// can see with an operator new/delete it cannot and reports a mismatched
+// new/delete (-Wmismatched-new-delete), though both sides are replaced here.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 using namespace sensorcer;
 using namespace sensorcer::sorcer;
 
 namespace {
-
-struct Fixture {
-  util::Scheduler sched;
-  std::shared_ptr<registry::LookupService> lus =
-      std::make_shared<registry::LookupService>("lus", sched);
-  registry::LeaseRenewalManager lrm{sched};
-  ServiceAccessor accessor;
-  ExertSpace space;
-  std::shared_ptr<Tasker> tasker;
-  std::shared_ptr<Jobber> jobber;
-  std::shared_ptr<Spacer> spacer;
-
-  explicit Fixture(std::size_t spacer_workers, util::ThreadPool* pool) {
-    accessor.add_lookup(lus);
-    tasker = std::make_shared<Tasker>("Worker");
-    tasker->add_operation(
-        "work", [](ServiceContext&) { return util::Status::ok(); },
-        10 * util::kMillisecond);
-    (void)tasker->join(lus, lrm, 3600 * util::kSecond);
-    jobber = std::make_shared<Jobber>("Jobber", accessor, pool);
-    (void)jobber->join(lus, lrm, 3600 * util::kSecond);
-    spacer = std::make_shared<Spacer>("Spacer", accessor, space,
-                                      spacer_workers, pool);
-    (void)spacer->join(lus, lrm, 3600 * util::kSecond);
-  }
-
-};
 
 std::shared_ptr<Job> make_job(std::size_t fanout, Flow flow, Access access) {
   auto job = Job::make("job", {flow, access, true});
@@ -93,8 +69,8 @@ std::shared_ptr<Job> make_job(std::size_t fanout, Flow flow, Access access) {
   return job;
 }
 
-// Same federation, but every service-to-service dispatch crosses the simnet
-// fabric as a request/response message pair (Transport::kWire).
+// A small federation whose every service-to-service dispatch crosses the
+// simnet fabric as a request/response message pair.
 struct WireFixture {
   util::Scheduler sched;
   simnet::Network net{sched};
@@ -103,7 +79,7 @@ struct WireFixture {
   registry::LeaseRenewalManager lrm{sched};
   ServiceAccessor accessor;
   ExertSpace space;
-  RemoteInvoker invoker{net, InvokeConfig{Transport::kWire}};
+  RemoteInvoker invoker{net};
   std::shared_ptr<Tasker> tasker;
   std::shared_ptr<Jobber> jobber;
   std::shared_ptr<Spacer> spacer;
@@ -117,22 +93,22 @@ struct WireFixture {
         10 * util::kMillisecond);
     tasker->attach_network(net);
     (void)tasker->join(lus, lrm, 3600 * util::kSecond);
-    jobber = std::make_shared<Jobber>("Jobber", accessor, nullptr);
+    jobber = std::make_shared<Jobber>("Jobber", accessor);
     jobber->attach_network(net);
     (void)jobber->join(lus, lrm, 3600 * util::kSecond);
     spacer = std::make_shared<Spacer>("Spacer", accessor, space,
-                                      spacer_workers, nullptr);
+                                      spacer_workers);
     spacer->attach_network(net);
     (void)spacer->join(lus, lrm, 3600 * util::kSecond);
   }
 };
 
-// Wire-mode fan-out sweep: elapsed fabric (virtual) time at the requestor,
-// so overlapped round-trips show up directly. Sequence serializes one
+// Fan-out sweep: elapsed fabric (virtual) time at the requestor, so
+// overlapped round-trips show up directly. Sequence serializes one
 // round-trip per child; scatter-gather parallel push overlaps them all in
 // one shared scheduler pump, so the batch costs ~the slowest child.
 void run_wire_section(bool smoke) {
-  std::puts("Wire-mode fan-out sweep (Transport::kWire, 200us one-way fabric "
+  std::puts("Fan-out sweep (10ms per-task service time, 200us one-way fabric "
             "latency; elapsed requestor time in virtual fabric time):");
   const std::vector<std::size_t> fanouts =
       smoke ? std::vector<std::size_t>{1, 8}
@@ -145,7 +121,7 @@ void run_wire_section(bool smoke) {
       const util::SimTime t0 = fx.sched.now();
       (void)exert(job, fx.accessor);
       if (job->status() != ExertStatus::kDone) {
-        std::puts("FAILED to execute wire-mode job");
+        std::puts("FAILED to execute job");
         std::exit(1);
       }
       return fx.sched.now() - t0;
@@ -163,9 +139,30 @@ void run_wire_section(bool smoke) {
                                rows)
                 .c_str());
   std::puts("Expected shape: sequence ~ N x (RTT + 10ms service time); "
-            "scatter-gather parallel push ~ one slowest child plus per-child "
-            "dispatch overhead (>= 4x speedup by N=8); pull tracks the "
-            "4-worker makespan model over the fabric.");
+            "scatter-gather parallel push ~ one slowest child plus one "
+            "batch-dispatch overhead (>= 4x speedup by N=8); pull tracks the "
+            "4-worker makespan model over the fabric.\n");
+}
+
+// Pull crew-size sweep at fixed fan-out: the Spacer's makespan model over
+// the fabric, from sequential (1 worker) to fully parallel (32 workers).
+void run_crew_section() {
+  std::puts("Pull makespan vs worker-crew size (32 tasks):");
+  std::vector<std::vector<std::string>> rows;
+  for (std::size_t workers : {1u, 2u, 4u, 8u, 16u, 32u}) {
+    WireFixture fx(workers);
+    auto job = make_job(32, Flow::kParallel, Access::kPull);
+    (void)exert(job, fx.accessor);
+    if (job->status() != ExertStatus::kDone) {
+      std::puts("FAILED to execute pull job");
+      std::exit(1);
+    }
+    rows.push_back(
+        {std::to_string(workers), util::format_duration(job->latency())});
+  }
+  std::puts(util::render_table({"workers", "makespan"}, rows).c_str());
+  std::puts("Expected shape: makespan ~ ceil(32 / workers) x (10ms service "
+            "time + RTT + two space operations).\n");
 }
 
 // --- PERF-5 marshalling micro-table -----------------------------------------
@@ -325,110 +322,17 @@ void run_marshal_section(bool smoke) {
 
 int main(int argc, char** argv) {
   const std::string mode = argc > 1 ? argv[1] : "";
+  std::puts("=== CLM-6: exertion federation over the wire ===\n");
   if (mode == "wire" || mode == "smoke") {
-    // Wire section only: `wire` for the full sweep (run_bench.sh appends it
-    // to the default run anyway; this entry point exists for targeted runs),
-    // `smoke` for the seconds-scale CI/ASan subset (which also gates on the
-    // marshalling table so the codec perf floor is CI-enforced).
-    std::puts("=== CLM-6: exertion federation — wire-mode section ===\n");
+    // `wire` for the fan-out sweep alone, `smoke` for the seconds-scale
+    // CI/ASan subset (which also gates on the marshalling table so the
+    // codec perf floor is CI-enforced).
     if (mode == "smoke") run_marshal_section(true);
     run_wire_section(mode == "smoke");
     return 0;
   }
-
-  std::puts("=== CLM-6: exertion federation — control-strategy latency ===\n");
-  std::puts("Per-task service time 10ms (virtual); Spacer crew = 4.\n");
-
-  std::vector<std::vector<std::string>> rows;
-  for (std::size_t fanout : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
-    Fixture fx(4, nullptr);
-    auto seq = make_job(fanout, Flow::kSequence, Access::kPush);
-    auto par = make_job(fanout, Flow::kParallel, Access::kPush);
-    auto pull = make_job(fanout, Flow::kParallel, Access::kPull);
-    (void)exert(seq, fx.accessor);
-    (void)exert(par, fx.accessor);
-    (void)exert(pull, fx.accessor);
-    if (seq->status() != ExertStatus::kDone ||
-        par->status() != ExertStatus::kDone ||
-        pull->status() != ExertStatus::kDone) {
-      std::puts("FAILED to execute jobs");
-      return 1;
-    }
-    rows.push_back({std::to_string(fanout),
-                    util::format_duration(seq->latency()),
-                    util::format_duration(par->latency()),
-                    util::format_duration(pull->latency()),
-                    util::format("%.1fx", static_cast<double>(seq->latency()) /
-                                              static_cast<double>(
-                                                  par->latency()))});
-  }
-  std::puts(util::render_table({"tasks", "sequence push", "parallel push",
-                                "pull (4 workers)", "par speedup"},
-                               rows)
-                .c_str());
-
-  // Pull crew-size sweep at fixed fan-out.
-  std::puts("Pull makespan vs worker-crew size (32 tasks):");
-  std::vector<std::vector<std::string>> crew_rows;
-  for (std::size_t workers : {1u, 2u, 4u, 8u, 16u, 32u}) {
-    Fixture fx(workers, nullptr);
-    auto job = make_job(32, Flow::kParallel, Access::kPull);
-    (void)exert(job, fx.accessor);
-    crew_rows.push_back(
-        {std::to_string(workers), util::format_duration(job->latency())});
-  }
-  std::puts(util::render_table({"workers", "makespan"}, crew_rows).c_str());
-
-  // Real wall-clock parallelism over compute-bound tasks. One provider per
-  // thread (provider invocations serialize), tasks pinned round-robin.
-  std::printf(
-      "Real thread-pool speedup (compute-bound task ops, wall clock; this "
-      "host has %u core(s) — speedup is capped there):\n",
-      std::thread::hardware_concurrency());
-  const auto spin_op = [](ServiceContext& ctx) -> util::Status {
-    double acc = 0;
-    for (int i = 1; i < 400000; ++i) acc += std::sqrt(static_cast<double>(i));
-    ctx.put("out", acc);
-    return util::Status::ok();
-  };
-  std::vector<std::vector<std::string>> wall_rows;
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    util::ThreadPool pool(threads);
-    Fixture fx(4, &pool);
-    // Provider invocations serialize per provider, so real speedup needs a
-    // provider pool: one compute peer per thread, tasks pinned round-robin.
-    std::vector<std::shared_ptr<Tasker>> peers;
-    for (std::size_t p = 0; p < threads; ++p) {
-      auto peer = std::make_shared<Tasker>("Peer-" + std::to_string(p));
-      peer->add_operation("work", spin_op, util::kMillisecond);
-      (void)peer->join(fx.lus, fx.lrm, 3600 * util::kSecond);
-      peers.push_back(std::move(peer));
-    }
-    auto job = Job::make("job", {Flow::kParallel, Access::kPush, true});
-    for (std::size_t i = 0; i < 32; ++i) {
-      job->add(Task::make(
-          "t" + std::to_string(i),
-          Signature{type::kTasker, "work",
-                    "Peer-" + std::to_string(i % threads)}));
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    (void)exert(job, fx.accessor);
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    wall_rows.push_back(
-        {std::to_string(threads), util::format("%.1f ms", ms)});
-  }
-  std::puts(util::render_table({"pool threads", "32-task job wall time"},
-                               wall_rows)
-                .c_str());
-  std::puts("Expected shape: sequence latency linear in fan-out; parallel "
-            "flat; pull interpolates with ceil(tasks/workers); wall time "
-            "shrinks with pool size up to the host's core count (flat on a "
-            "single-core host — the virtual-time model above carries the "
-            "parallelism analysis).\n");
-
-  run_marshal_section(false);
   run_wire_section(false);
+  run_crew_section();
+  run_marshal_section(false);
   return 0;
 }

@@ -126,7 +126,6 @@ int main() {
     wire_config.cybernodes = 4;
     wire_config.lease_duration = 2 * util::kSecond;
     wire_config.monitor.poll_period = poll;
-    wire_config.invoke.transport = sorcer::Transport::kWire;
     core::Deployment wlab(wire_config);
     wlab.add_temperature_sensor("S1");
     (void)wlab.facade().create_service("Cutoff");

@@ -54,7 +54,6 @@ std::uint64_t measure(std::size_t sensors, std::size_t window_count,
                       std::optional<flow::Placement> placement,
                       util::SimDuration span) {
   core::DeploymentConfig config;
-  config.invoke.transport = sorcer::Transport::kWire;
   // Emission latency is not under test: let the sink batch a half-minute of
   // emissions per appendBatch (applies to both placements alike) so the
   // comparison measures steady-state bytes, not per-call envelope overhead.

@@ -61,63 +61,16 @@ int main() {
                                rows)
                 .c_str());
 
-  // Measured end-to-end through the framework's byte accounting.
-  std::puts("Measured through the framework (ESP with traffic accounting):");
-  std::vector<std::vector<std::string>> measured;
-  for (std::size_t batch : {1u, 8u, 64u, 512u}) {
-    core::DeploymentConfig config;
-    config.sampling.sample_period = 100 * util::kMillisecond;
-    config.sampling.log_capacity = 4096;
-    core::Deployment lab(config);
-    auto esp = lab.add_temperature_sensor("Metered");
-    esp->attach_network(lab.network());
-    lab.pump(static_cast<util::SimDuration>(batch) * 100 *
-             util::kMillisecond);
-
-    lab.network().reset_stats();
-    for (std::size_t i = 0; i < batch; ++i) {
-      auto task = sorcer::Task::make(
-          "t", sorcer::Signature{core::kSensorDataAccessorType,
-                                 core::op::kGetValue, "Metered"});
-      (void)sorcer::exert(task, lab.accessor());
-    }
-    const double polled =
-        static_cast<double>(lab.network().totals().payload_bytes_sent +
-                            lab.network().totals().header_bytes_sent) /
-        static_cast<double>(batch);
-
-    lab.network().reset_stats();
-    auto log_task = sorcer::Task::make(
-        "t", sorcer::Signature{core::kSensorDataAccessorType,
-                               core::op::kGetLog, "Metered"});
-    log_task->context().put(core::path::kLogSince, 0.0);
-    (void)sorcer::exert(log_task, lab.accessor());
-    const double batched =
-        static_cast<double>(lab.network().totals().payload_bytes_sent +
-                            lab.network().totals().header_bytes_sent) /
-        static_cast<double>(batch);
-
-    measured.push_back({std::to_string(batch),
-                        util::format("%.1f", polled),
-                        util::format("%.1f", batched),
-                        util::format("%.1fx", polled / batched)});
-  }
-  std::puts(util::render_table(
-                {"readings", "polled B/r", "aggregated B/r", "win"},
-                measured)
-                .c_str());
-
-  // Same exertions over the wire transport: every getValue/getLog is now a
-  // real request/response Message pair, so each reading additionally pays
+  // Measured end to end: every getValue/getLog exertion is a real
+  // request/response Message pair on the fabric, so each reading also pays
   // the response envelope plus trace-propagation headers. The aggregation
-  // shape must survive the transport switch.
-  std::puts("Measured over the wire transport (invoke.transport = kWire):");
+  // shape must survive that.
+  std::puts("Measured over the wire (getValue polls vs one getLog batch):");
   std::vector<std::vector<std::string>> wired;
   for (std::size_t batch : {1u, 8u, 64u, 512u}) {
     core::DeploymentConfig config;
     config.sampling.sample_period = 100 * util::kMillisecond;
     config.sampling.log_capacity = 4096;
-    config.invoke.transport = sorcer::Transport::kWire;
     core::Deployment lab(config);
     lab.add_temperature_sensor("Metered");
     lab.pump(static_cast<util::SimDuration>(batch) * 100 *
@@ -156,7 +109,7 @@ int main() {
                 wired)
                 .c_str());
   std::puts("Expected shape: polling cost flat and header-dominated; "
-            "aggregated cost falls with batch size (paper's aggregation "
-            "argument holds on both transports).");
+            "aggregated cost falls with batch size (the paper's aggregation "
+            "argument holds end to end).");
   return 0;
 }

@@ -184,7 +184,6 @@ void bench_pipelined_ingest(bool smoke) {
   std::puts("serial column is K x the calibrated one-chunk flush cost.");
   core::DeploymentConfig config;
   config.sampling.sample_period = 0;  // quiet fabric: we drive the feeder
-  config.invoke.transport = sorcer::Transport::kWire;
   config.history_feed.flush_period = 0;
   config.history_feed.max_batch = 16;
   core::Deployment lab(config);

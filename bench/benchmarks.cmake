@@ -22,7 +22,6 @@ sensorcer_add_bench(bench_data_flow)
 sensorcer_add_bench(bench_plug_and_play)
 sensorcer_add_bench(bench_ablation)
 sensorcer_add_bench(bench_observability)
-sensorcer_add_bench(bench_read_path)
 sensorcer_add_bench(bench_historian)
 sensorcer_add_bench(bench_flow)
 sensorcer_add_bench(bench_chaos)

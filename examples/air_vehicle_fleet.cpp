@@ -53,7 +53,7 @@ int main() {
   lab.pump(2 * util::kSecond);
 
   // Fleet watch runs on a Rio cybernode so it survives node failures.
-  rio::QosRequirement qos{1.0, 256.0};
+  rio::QosRequirement qos{1.0, 256.0, "", {}};
   if (!lab.facade().create_service("fleet/energy-watch", qos).is_ok()) {
     std::puts("provisioning failed");
     return 1;

@@ -3,23 +3,20 @@
 # repo root — the numbers EXPERIMENTS.md and PR descriptions quote.
 #
 #   scripts/run_bench.sh [build-dir]           # default: build
-#   SENSORCER_BENCH_FILTER='ColdRead|WarmRead' scripts/run_bench.sh
+#   SENSORCER_BENCH_FILTER='Register|Lookup' scripts/run_bench.sh
 #
-# bench_read_path (google-benchmark) covers the hot serving loop — cold vs
-# warm vs coalesced reads, direct fan-out, tree-walk vs slot-compiled
-# evaluation — and lands machine-readable JSON. bench_exertion,
-# bench_lease_churn, bench_header_overhead and bench_failover are
-# report-style benches (virtual-time tables from their own main); their
-# outputs are captured verbatim. The last two track the wire invocation
-# pipeline: per-hop protocol/header cost and partition-driven failover.
-# BENCH_exertion.txt includes the wire-mode scatter-gather table (sequence
-# vs overlapped parallel push vs pull on the fabric) plus the PERF-5
-# marshalling micro-table (legacy string envelope vs flat interned codec:
-# ns/call, bytes/call, allocs/call — the fan-out row is a hard regression
-# gate), and BENCH_historian.txt the pipelined feeder-ingest delta plus the
-# PERF-7 compressed-retention tables: Gorilla sealed-block ratio per signal
-# shape (the steady row is a hard >=5x gate), tiered retention per byte, and
-# the concurrent read-executor sweep. BENCH_flow.txt sweeps the streaming
+# bench_exertion, bench_lease_churn, bench_header_overhead and
+# bench_failover are report-style benches (virtual-time tables from their
+# own main); their outputs are captured verbatim. The last two track the
+# wire invocation pipeline: per-hop protocol/header cost and
+# partition-driven failover. BENCH_exertion.txt includes the scatter-gather
+# table (sequence vs overlapped parallel push vs pull on the fabric), the
+# pull crew-size sweep and the PERF-5 marshalling micro-table (legacy string
+# envelope vs flat interned codec: ns/call, bytes/call, allocs/call — the
+# fan-out row is a hard regression gate), and BENCH_historian.txt the
+# pipelined feeder-ingest delta plus the PERF-7 compressed-retention tables:
+# Gorilla sealed-block ratio per signal shape (the steady row is a hard >=5x
+# gate), tiered retention per byte, and the concurrent read-executor sweep. BENCH_flow.txt sweeps the streaming
 # dataflow's stage reduction and sensor count, edge-fused vs central relay.
 # bench_discovery (google-benchmark) sweeps federated-registry operations to
 # 1e6 entries — register/renew/lookup-by-id must stay near-flat (PERF-6) —
@@ -36,15 +33,9 @@ FILTER="${SENSORCER_BENCH_FILTER:-}"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
-  --target bench_read_path bench_exertion bench_lease_churn \
+  --target bench_exertion bench_lease_churn \
   bench_header_overhead bench_failover bench_historian bench_flow \
   bench_discovery bench_chaos
-
-echo "=== bench_read_path -> BENCH_read_path.json ==="
-"$BUILD_DIR/bench/bench_read_path" \
-  ${FILTER:+--benchmark_filter="$FILTER"} \
-  --benchmark_out_format=json \
-  --benchmark_out=BENCH_read_path.json
 
 echo "=== bench_discovery -> BENCH_discovery.txt ==="
 "$BUILD_DIR/bench/bench_discovery" \

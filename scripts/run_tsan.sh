@@ -2,8 +2,9 @@
 # Build and run the tier-1 test suite under ThreadSanitizer.
 #
 # The obs hot paths (Counter/Gauge/Histogram updates, SpanCollector::record)
-# are exercised from the Jobber/Spacer worker pools; this is the standing
-# proof they stay race-free. Usage:
+# are exercised from the historian read executor's workers and from reader
+# threads sharing one composite's single-flight collection over the wire;
+# this is the standing proof they stay race-free. Usage:
 #
 #   scripts/run_tsan.sh [build-dir]    # default build-tsan
 #

@@ -382,11 +382,11 @@ void ChaosOrchestrator::quiesce(InvariantReport& report) {
   // flushing on their timers as virtual time passes.
   dep_.pump(dep_.config().lease_duration + 2 * kSecond);
 
-  // Drain the feeder tails. Under wire transport a flush pumps the
-  // scheduler, which can fire another ESP's sampling timer mid-drain — so
-  // tally leftovers in a separate pass after all flushes (the tally itself
-  // never advances time, so a zero count is final) and iterate until a
-  // round ends with nothing pending anywhere.
+  // Drain the feeder tails. A flush pumps the scheduler, which can fire
+  // another ESP's sampling timer mid-drain — so tally leftovers in a
+  // separate pass after all flushes (the tally itself never advances time,
+  // so a zero count is final) and iterate until a round ends with nothing
+  // pending anywhere.
   for (int round = 0; round < 8; ++round) {
     const auto instances = dep_.monitor().deployed_instances("chaos-esp");
     for (const auto& svc : instances) {

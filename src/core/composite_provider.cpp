@@ -193,15 +193,12 @@ std::vector<std::optional<double>> CompositeSensorProvider::fan_out(
   }
   if (!federated) {
     // No rendezvous peer on the network: resolve the prebuilt plan to
-    // servicers and issue it as one batch through the invocation pipeline —
-    // scatter-gathered on the fabric under wire transport, fanned across
-    // the policy pool in-process. invoke_servicer_all (not exert) keeps the
-    // historical no-substitution semantics and metric counts of the direct
-    // path. A pooled batch costs the slowest child plus the per-child
-    // dispatch overhead — the Jobber's parallel latency model; a wire batch
-    // already paid its overlapped window in fabric time, so only one batch
-    // dispatch overhead rides on top; a sequential one degrades to the
-    // child-latency sum.
+    // servicers and scatter-gather it as one batch through the invocation
+    // pipeline. invoke_servicer_all (not exert) keeps the historical
+    // no-substitution semantics and metric counts of the direct path. The
+    // batch already paid its overlapped window in fabric time, so it costs
+    // the slowest child plus one batch-dispatch overhead — the Jobber's
+    // parallel latency model; an empty batch costs nothing.
     std::vector<std::pair<std::shared_ptr<sorcer::Servicer>,
                           sorcer::ExertionPtr>>
         calls;
@@ -210,21 +207,14 @@ std::vector<std::optional<double>> CompositeSensorProvider::fan_out(
       auto servicer = accessor_.find_servicer(task->signature());
       if (servicer.is_ok()) calls.emplace_back(servicer.value(), task);
     }
-    const sorcer::FanOut fan_out =
-        sorcer::invoke_servicer_all(accessor_, calls, nullptr, policy_.pool);
-    if (fan_out != sorcer::FanOut::kSequence) {
+    sorcer::invoke_servicer_all(accessor_, calls);
+    *latency = 0;
+    if (!calls.empty()) {
       util::SimDuration slowest = 0;
       for (const auto& task : tasks) {
         slowest = std::max(slowest, task->latency());
       }
-      const auto dispatches = fan_out == sorcer::FanOut::kWire
-                                  ? static_cast<util::SimDuration>(1)
-                                  : static_cast<util::SimDuration>(tasks.size());
-      *latency = slowest + dispatches * sorcer::Jobber::kDispatchOverhead;
-    } else {
-      util::SimDuration total = 0;
-      for (const auto& task : tasks) total += task->latency();
-      *latency = total;
+      *latency = slowest + sorcer::Jobber::kDispatchOverhead;
     }
   }
 
@@ -260,12 +250,12 @@ CompositeSensorProvider::Collected CompositeSensorProvider::collect() {
   // flight to land and share the result instead of fanning out again.
   if (collect_in_flight_) {
     if (collect_owner_ == std::this_thread::get_id()) {
-      // Re-entrant read on the collecting thread itself — under wire
-      // transport the in-flight fan-out pumps the virtual-time scheduler,
-      // which can fire a timer (watch poll, sampler) that reads this CSP
-      // again on the same stack. Waiting would self-deadlock; serve the
-      // previous collection if one exists, else run an independent fan-out
-      // without touching the single-flight state.
+      // Re-entrant read on the collecting thread itself — the in-flight
+      // fan-out pumps the virtual-time scheduler, which can fire a timer
+      // (watch poll, sampler) that reads this CSP again on the same stack.
+      // Waiting would self-deadlock; serve the previous collection if one
+      // exists, else run an independent fan-out without touching the
+      // single-flight state.
       if (cache_valid_) {
         csp_metrics().coalesced.add(1);
         last_collection_latency_.store(0, std::memory_order_relaxed);

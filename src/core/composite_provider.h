@@ -16,10 +16,9 @@
 //   * concurrent collections coalesce — N simultaneous readers pay one
 //     fan-out (single-flight);
 //   * with no rendezvous peer on the network, the direct fallback issues the
-//     prebuilt plan as one scatter-gather batch — overlapped on the fabric
-//     under wire transport, fanned across the worker pool in-process — under
-//     the same slowest-child latency model the Jobber uses, instead of a
-//     sequential child-latency sum.
+//     prebuilt plan as one scatter-gather batch overlapped on the fabric,
+//     under the same slowest-child latency model the Jobber uses, instead of
+//     a sequential child-latency sum.
 
 #include <atomic>
 #include <condition_variable>
@@ -35,7 +34,6 @@
 #include "sorcer/exert.h"
 #include "sorcer/provider.h"
 #include "util/scheduler.h"
-#include "util/thread_pool.h"
 
 namespace sensorcer::core {
 
@@ -43,8 +41,7 @@ namespace sensorcer::core {
 struct CollectionPolicy {
   /// Child requests federate through a rendezvous peer when one is on the
   /// network (parallel push by default); with no rendezvous available the
-  /// CSP degrades to direct invocation (parallel across `pool`, sequential
-  /// without one).
+  /// CSP degrades to one direct scatter-gather batch.
   sorcer::ControlStrategy strategy{sorcer::Flow::kParallel,
                                    sorcer::Access::kPush, true};
   /// Strict: any unreachable component fails the read. Lenient: missing
@@ -55,10 +52,6 @@ struct CollectionPolicy {
   /// from the cached component values (stamped with the collection time);
   /// 0 disables the cache and every read re-collects.
   util::SimDuration freshness = 0;
-  /// Worker pool for the in-process direct (no-rendezvous) fan-out; null
-  /// keeps the sequential fallback and its sum-of-children latency model.
-  /// Wire transport overlaps the batch on the fabric regardless of pool.
-  util::ThreadPool* pool = nullptr;
 };
 
 class CompositeSensorProvider : public sorcer::ServiceProvider,
@@ -148,8 +141,8 @@ class CompositeSensorProvider : public sorcer::ServiceProvider,
   /// cache and coalescing concurrent callers onto one in-flight fan-out.
   Collected collect();
 
-  /// The actual fan-out: federated when a rendezvous peer exists, else
-  /// direct (pool-parallel or sequential). Returns values + modeled latency.
+  /// The actual fan-out: federated when a rendezvous peer exists, else one
+  /// direct scatter-gather batch. Returns values + modeled latency.
   std::vector<std::optional<double>> fan_out(
       const std::vector<PlanEntry>& plan, util::SimDuration* latency);
 

@@ -18,8 +18,7 @@ Deployment::Deployment(DeploymentConfig config)
   obs::set_sim_clock(&scheduler_);
 
   // The invocation pipeline: every service-to-service dispatch routed
-  // through this accessor goes via the invoker (in-process by default;
-  // kWire puts the calls on the fabric as messages).
+  // through this accessor goes via the invoker, as messages on the fabric.
   invoker_ = std::make_unique<sorcer::RemoteInvoker>(network_, config_.invoke);
   accessor_.set_invoker(invoker_.get());
 
@@ -34,21 +33,16 @@ Deployment::Deployment(DeploymentConfig config)
     lookups_.push_back(std::move(lus));
   }
 
-  if (config_.worker_threads > 0) {
-    pool_ = std::make_unique<util::ThreadPool>(config_.worker_threads);
-  }
-
   if (config_.with_jobber) {
-    jobber_ = std::make_shared<sorcer::Jobber>("Jobber", accessor_,
-                                               pool_.get());
+    jobber_ = std::make_shared<sorcer::Jobber>("Jobber", accessor_);
     jobber_->attach_network(network_);
     for (const auto& lus : lookups_) {
       (void)jobber_->join(lus, lrm_, config_.lease_duration);
     }
   }
   if (config_.with_spacer) {
-    spacer_ = std::make_shared<sorcer::Spacer>(
-        "Spacer", accessor_, space_, config_.spacer_workers, pool_.get());
+    spacer_ = std::make_shared<sorcer::Spacer>("Spacer", accessor_, space_,
+                                               config_.spacer_workers);
     spacer_->attach_network(network_);
     for (const auto& lus : lookups_) {
       (void)spacer_->join(lus, lrm_, config_.lease_duration);
@@ -91,9 +85,6 @@ Deployment::Deployment(DeploymentConfig config)
   ManagerConfig manager_config;
   manager_config.lease_duration = config_.lease_duration;
   manager_config.collection = config_.collection;
-  // Composites created through the manager/provisioner fan out their direct
-  // (no-rendezvous) collections across the deployment's worker pool.
-  manager_config.collection.pool = pool_.get();
   manager_config.sampling = config_.sampling;
   manager_config.history_hub = feeder_hub_.get();
   manager_ = std::make_unique<SensorNetworkManager>(accessor_, scheduler_,

@@ -28,7 +28,6 @@
 #include "sorcer/invoke.h"
 #include "sorcer/jobber.h"
 #include "sorcer/spacer.h"
-#include "util/thread_pool.h"
 
 namespace sensorcer::core {
 
@@ -44,13 +43,15 @@ struct DeploymentConfig {
   bool with_jobber = true;
   bool with_spacer = true;
   std::size_t spacer_workers = 4;
-  /// 0 = no real thread pool (rendezvous peers run inline).
+  /// Ignored: every call crosses the fabric, and fan-out concurrency comes
+  /// from overlapped round-trips, not threads. Kept so existing configs
+  /// that set it still compile.
   std::size_t worker_threads = 4;
   util::SimDuration lease_duration = 30 * util::kSecond;
   util::SimDuration network_latency = 200 * util::kMicrosecond;
-  /// Invocation pipeline settings. kInProcess (the default) keeps direct
-  /// virtual calls with modeled byte accounting; kWire puts every
-  /// service-to-service call on the fabric as request/response messages.
+  /// Invocation pipeline settings (call and ping deadlines). Every
+  /// service-to-service call is a request/response message pair on the
+  /// fabric.
   sorcer::InvokeConfig invoke;
   rio::MonitorConfig monitor;
   CollectionPolicy collection;
@@ -105,7 +106,6 @@ class Deployment {
   registry::DiscoveryManager& discovery() { return discovery_; }
   sorcer::ServiceAccessor& accessor() { return accessor_; }
   sorcer::RemoteInvoker& invoker() { return *invoker_; }
-  util::ThreadPool* pool() { return pool_.get(); }
   sorcer::ExertSpace& space() { return space_; }
 
   const std::vector<std::shared_ptr<registry::LookupService>>& lookups()
@@ -149,7 +149,6 @@ class Deployment {
   // Declared after accessor_ and the registries it uses; ESPs that outlive
   // it (a lookup service still holding a proxy) find their hub gone.
   std::unique_ptr<hist::FeederHub> feeder_hub_;
-  std::unique_ptr<util::ThreadPool> pool_;
   sorcer::ExertSpace space_;
   std::shared_ptr<sorcer::Jobber> jobber_;
   std::shared_ptr<sorcer::Spacer> spacer_;

@@ -44,9 +44,8 @@ util::Result<double> SensorcerFacade::get_value(
       obs::tracer().start_span("facade.getValue:" + service_name);
   obs::ContextGuard guard(span.context());
   // Facade reads are service-to-service calls like any other: a task
-  // exertion routed through the invocation pipeline, so they are
-  // byte-accounted — and really cross the fabric under wire transport —
-  // instead of short-circuiting into the provider object.
+  // exertion routed through the invocation pipeline, so they really cross
+  // the fabric instead of short-circuiting into the provider object.
   auto task = sorcer::Task::make(
       "facade.read:" + service_name,
       sorcer::Signature{kSensorDataAccessorType, op::kGetValue, service_name});

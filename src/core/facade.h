@@ -34,9 +34,9 @@ class SensorcerFacade : public sorcer::ServiceProvider {
   util::Result<double> get_value(const std::string& service_name);
 
   /// Multi-sensor "Get Value": one read task per name, issued as a single
-  /// scatter-gather batch through the invocation pipeline — under wire
-  /// transport the reads overlap on the fabric and the whole page refresh
-  /// costs ~one round-trip, not N. Results are positional with
+  /// scatter-gather batch through the invocation pipeline — the reads
+  /// overlap on the fabric and the whole page refresh costs ~one
+  /// round-trip, not N. Results are positional with
   /// `service_names`.
   std::vector<util::Result<double>> get_values(
       const std::vector<std::string>& service_names);

@@ -186,7 +186,8 @@ std::string SensorNetworkManager::render_tree(const std::string& root,
 }
 
 obs::Snapshot SensorNetworkManager::health_snapshot() const {
-  obs::Snapshot snap = obs::metrics().snapshot(scheduler_.now());
+  obs::Snapshot snap =
+      obs::metrics().snapshot(scheduler_.now(), /*with_wall_clock=*/false);
   if (network_ != nullptr) {
     snap.merge(network_->metrics().snapshot(scheduler_.now()));
   }

@@ -85,6 +85,8 @@ class SensorNetworkManager {
 
   /// Merged metric snapshot: the process-wide registry (registry, sorcer,
   /// rio, esp/csp and facade hooks) plus the attached network's counters.
+  /// Wall-clock instruments are left out, so under virtual time the
+  /// snapshot is a deterministic function of the seed.
   [[nodiscard]] obs::Snapshot health_snapshot() const;
 
   /// Rendered federation health report (discovery latency, lease churn,

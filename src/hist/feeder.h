@@ -7,11 +7,11 @@
 // in-flight flush, and the binding to the historian. A hub flush gathers
 // every feeder's pending window into multi-series appendBatch chunks
 // (hist/append_batch.h) and exerts them through the deployment's invocation
-// pipeline as one scatter-gather batch, so under Transport::kWire a
-// sampling instant of the whole fleet costs one overlapped round trip, not
-// one per sensor. A flush requested while one is in flight (a wire flush
-// pumps the scheduler, which fires timers) only marks the hub for a re-run
-// once it lands — flushes never nest.
+// pipeline as one scatter-gather batch, so a sampling instant of the whole
+// fleet costs one overlapped round trip, not one per sensor. A flush
+// requested while one is in flight (a wire flush pumps the scheduler, which
+// fires timers) only marks the hub for a re-run once it lands — flushes
+// never nest.
 //
 // The binding is event-driven and lease-bound: the hub holds one leased
 // notify() subscription for DataCollection transitions. When the
@@ -99,7 +99,7 @@ class FeederHub {
   void attach(HistorianFeeder* feeder);
   void detach(HistorianFeeder* feeder);
   /// A feeder took a reading; schedules a flush past batch_size. Safe from
-  /// pool workers (an ESP read records a reading off-thread).
+  /// any thread (an ESP read may record a reading off the scheduler's).
   void offered();
   [[nodiscard]] bool any_pending() const;
   void schedule_flush();

@@ -17,8 +17,8 @@ struct ReadMetrics {
 ReadMetrics& read_metrics() {
   static ReadMetrics m{
       obs::metrics().gauge("hist.read_queue_depth"),
-      obs::metrics().counter("hist.read_wait_ns"),
-      obs::metrics().histogram("hist.read_wait_us"),
+      obs::metrics().counter("hist.read_wait_ns", obs::Clock::kWall),
+      obs::metrics().histogram("hist.read_wait_us", {}, obs::Clock::kWall),
       obs::metrics().counter("hist.reads_served"),
       obs::metrics().counter("hist.read_inline"),
   };

@@ -11,8 +11,8 @@ namespace sensorcer::hist {
 
 namespace {
 
-/// Handles resolved once; updates are relaxed atomics (pool workers append
-/// concurrently). Same pattern as the ESP/accessor instrumentation.
+/// Handles resolved once; updates are relaxed atomics (appends and queries
+/// may run concurrently). Same pattern as the ESP/accessor instrumentation.
 struct StoreMetrics {
   obs::Counter& appends;
   obs::Counter& append_batches;

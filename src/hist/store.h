@@ -2,7 +2,7 @@
 // HistorianStore — the sharded segment map behind the Historian provider.
 //
 // Sensor name → SensorSeries, split across a fixed shard array (hash of the
-// name) so concurrent appends from pool workers contend only per shard.
+// name) so concurrent callers contend only per shard.
 // Since PR 10 each series is internally thread-safe (active block + sealed
 // chain snapshots): queries grab the segment's shared_ptr under a brief
 // shard lock and then run entirely off-lock, so the read executor's workers

@@ -84,10 +84,8 @@ std::string render_federation_health(const Snapshot& snap) {
                   std::to_string(snap.counter_or("sorcer.exert_failures")) +
                       " / " +
                       std::to_string(snap.counter_or("sorcer.substitutions"))});
-  rows.push_back({"invoke", "calls wire / in-process",
-                  std::to_string(snap.counter_or("invoke.wire_calls")) +
-                      " / " +
-                      std::to_string(snap.counter_or("invoke.inprocess_calls"))});
+  rows.push_back({"invoke", "wire calls",
+                  std::to_string(snap.counter_or("invoke.wire_calls"))});
   rows.push_back({"invoke", "timeouts / late responses",
                   std::to_string(snap.counter_or("invoke.timeouts")) + " / " +
                       std::to_string(snap.counter_or("invoke.late_responses"))});
@@ -105,11 +103,6 @@ std::string render_federation_health(const Snapshot& snap) {
   // Wire-path codec health: how warm the zero-copy marshalling machinery
   // runs (sorcer/codec.h). Hit/reuse rates near 1.0 mean steady-state calls
   // ship interned ids and recycled buffers only.
-  rows.push_back({"wire", "marshal time",
-                  util::format("%.3f ms",
-                               static_cast<double>(snap.counter_or(
-                                   "invoke.marshal_ns")) /
-                                   1e6)});
   {
     const auto hits = snap.counter_or("invoke.intern_hits");
     const auto misses = snap.counter_or("invoke.intern_misses");
@@ -178,8 +171,6 @@ std::string render_federation_health(const Snapshot& snap) {
        util::format("%.0f", snap.gauge_or("hist.read_queue_depth")) + " / " +
            std::to_string(snap.counter_or("hist.reads_served")) + " / " +
            std::to_string(snap.counter_or("hist.read_inline"))});
-  rows.push_back({"historian", "read wait",
-                  latency_row(snap, "hist.read_wait_us")});
   rows.push_back({"historian", "feeder pushed / dropped",
                   std::to_string(snap.counter_or("hist.feeder_pushed")) +
                       " / " +

@@ -130,8 +130,9 @@ const HistogramSnapshot* Snapshot::histogram(const std::string& name) const {
   return nullptr;
 }
 
-Counter& Registry::counter(const std::string& name) {
+Counter& Registry::counter(const std::string& name, Clock clock) {
   std::lock_guard lock(mu_);
+  if (clock == Clock::kWall) wall_clock_.insert(name);
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
   return *slot;
@@ -145,24 +146,31 @@ Gauge& Registry::gauge(const std::string& name) {
 }
 
 Histogram& Registry::histogram(const std::string& name,
-                               std::vector<double> bounds) {
+                               std::vector<double> bounds, Clock clock) {
   std::lock_guard lock(mu_);
+  if (clock == Clock::kWall) wall_clock_.insert(name);
   auto& slot = histograms_[name];
   if (!slot) slot = std::make_unique<Histogram>(std::move(bounds));
   return *slot;
 }
 
-Snapshot Registry::snapshot(util::SimTime sim_time) const {
+Snapshot Registry::snapshot(util::SimTime sim_time,
+                            bool with_wall_clock) const {
   std::lock_guard lock(mu_);
+  const auto skip = [&](const std::string& name) {
+    return !with_wall_clock && wall_clock_.contains(name);
+  };
   Snapshot out;
   out.sim_time = sim_time;
   for (const auto& [name, c] : counters_) {
+    if (skip(name)) continue;
     out.counters.emplace_back(name, c->value());
   }
   for (const auto& [name, g] : gauges_) {
     out.gauges.emplace_back(name, g->value());
   }
   for (const auto& [name, h] : histograms_) {
+    if (skip(name)) continue;
     HistogramSnapshot hs;
     hs.name = name;
     hs.count = h->count();

@@ -3,8 +3,7 @@
 // subsystem (obs/). Named counters, gauges and fixed-bucket histograms with
 // atomic hot paths: instrumented layers resolve a handle once (a mutex is
 // taken only at name-resolution time) and then update it with relaxed
-// atomics, so recording a metric costs nanoseconds even from the Jobber's
-// parallel workers. A snapshot() walks every instrument into a plain value
+// atomics, so recording a metric costs nanoseconds from any thread. A snapshot() walks every instrument into a plain value
 // struct that export.h renders as a text table or JSON line.
 //
 // Motivation: the paper's §II.1 argument is quantitative (protocol overhead
@@ -17,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -138,6 +138,11 @@ struct Snapshot {
       const std::string& name) const;
 };
 
+/// The clock an instrument's value follows. Counts and virtual-time values
+/// are deterministic per seed; wall-clock ones (real nanoseconds of CPU
+/// work) differ from run to run.
+enum class Clock { kVirtual, kWall };
+
 /// Named instrument store. Handles returned by counter()/gauge()/histogram()
 /// are stable for the registry's lifetime; resolution locks, updates do not.
 class Registry {
@@ -146,13 +151,19 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  Counter& counter(const std::string& name);
+  /// `clock` is declared where the instrument is registered; kWall sticks
+  /// once any registration of `name` declares it.
+  Counter& counter(const std::string& name, Clock clock = Clock::kVirtual);
   Gauge& gauge(const std::string& name);
   /// `bounds` applies only on first creation of `name`.
   Histogram& histogram(const std::string& name,
-                       std::vector<double> bounds = {});
+                       std::vector<double> bounds = {},
+                       Clock clock = Clock::kVirtual);
 
-  [[nodiscard]] Snapshot snapshot(util::SimTime sim_time = 0) const;
+  /// Every instrument, or — with `with_wall_clock` false — only the
+  /// deterministic ones, so two identical seeded runs snapshot identically.
+  [[nodiscard]] Snapshot snapshot(util::SimTime sim_time = 0,
+                                  bool with_wall_clock = true) const;
 
   /// Zero every instrument (names and handles stay valid).
   void reset();
@@ -165,6 +176,7 @@ class Registry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::set<std::string> wall_clock_;  // names declared Clock::kWall
 };
 
 /// Shorthand for Registry::global().

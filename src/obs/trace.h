@@ -15,9 +15,9 @@
 //            └─ invoke:Neem#getValue
 //               └─ probe:Neem
 //
-// Propagation is explicit across threads (the Jobber stamps each child
-// exertion before handing it to the worker pool) and implicit within one
-// thread (a thread_local current context, scoped by ContextGuard).
+// Propagation is explicit across a scatter-gather batch (the Jobber stamps
+// each child exertion before scattering it) and implicit within one thread
+// (a thread_local current context, scoped by ContextGuard).
 
 #include <cstdint>
 #include <mutex>

@@ -132,7 +132,7 @@ util::Result<std::shared_ptr<Cybernode>> ProvisionMonitor::pick_node(
 void ProvisionMonitor::register_instance(
     const std::shared_ptr<sorcer::ServiceProvider>& service) {
   // Provisioned instances are full network citizens: attached to the same
-  // fabric as the pipeline so wire-mode exertions can reach them.
+  // fabric as the pipeline so exertions can reach them.
   if (auto* invoker = accessor_.invoker();
       invoker != nullptr && service->network() == nullptr) {
     service->attach_network(invoker->network());
@@ -151,11 +151,9 @@ bool ProvisionMonitor::node_healthy(const std::shared_ptr<Cybernode>& node) {
   }
   bool healthy = true;
   auto* invoker = accessor_.invoker();
-  if (invoker != nullptr &&
-      invoker->transport() == sorcer::Transport::kWire &&
-      node->network() == &invoker->network()) {
-    // Wire transport: trust the fabric, not the object — a partitioned or
-    // detached node fails its ping even though is_alive() says otherwise.
+  if (invoker != nullptr && node->network() == &invoker->network()) {
+    // Trust the fabric, not the object — a partitioned or detached node
+    // fails its ping even though is_alive() says otherwise.
     healthy =
         invoker->ping(node->network_address(), config_.ping_timeout).is_ok();
   }
@@ -372,7 +370,7 @@ bool ProvisionMonitor::restart_dependent(const Deployment& d) {
 }
 
 void ProvisionMonitor::poll_once() {
-  // Wire-mode pings pump the scheduler, which can fire this poll's own
+  // Liveness pings pump the scheduler, which can fire this poll's own
   // timer re-entrantly mid-sweep; one pass at a time.
   if (polling_) return;
   polling_ = true;

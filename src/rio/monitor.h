@@ -37,8 +37,8 @@ struct MonitorConfig {
   util::SimDuration poll_period = 1 * util::kSecond;
   /// Modeled time to instantiate one service on a cybernode.
   util::SimDuration activation_cost = 50 * util::kMillisecond;
-  /// Deadline for per-node liveness pings under wire transport (a dead or
-  /// partitioned node costs this much virtual time per poll).
+  /// Deadline for per-node liveness pings (a dead or partitioned node costs
+  /// this much virtual time per poll).
   util::SimDuration ping_timeout = 10 * util::kMillisecond;
 };
 
@@ -128,9 +128,8 @@ class ProvisionMonitor : public sorcer::ServiceProvider {
   util::Result<std::shared_ptr<Cybernode>> pick_node(
       const ServiceElement& element);
   /// Node health for the poll loop. Beyond local bookkeeping (is_alive /
-  /// hosts), a node on the fabric is pinged over the wire when the
-  /// accessor's pipeline runs in wire transport, so partitions and dead
-  /// endpoints are detected by the transport itself.
+  /// hosts), a node on the pipeline's fabric is pinged over the wire, so
+  /// partitions and dead endpoints are detected by the transport itself.
   bool node_healthy(const std::shared_ptr<Cybernode>& node);
   util::Status place(const std::string& opstring_name,
                      std::size_t element_index, const ServiceElement& element,

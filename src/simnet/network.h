@@ -60,8 +60,8 @@ struct TrafficStats {
 };
 
 /// The fabric. Message traffic runs on the single-threaded virtual-time
-/// scheduler; only account_rpc() is thread-safe, because providers invoked
-/// from the Jobber's parallel flow charge RPCs concurrently.
+/// scheduler; only account_rpc() is thread-safe, because registry
+/// operations issued from several threads charge it concurrently.
 ///
 /// Traffic totals live in a per-network obs::Registry (the one source of
 /// truth for byte/drop accounting): totals() is derived from those

@@ -62,18 +62,12 @@ class ServiceAccessor {
 
   /// Wire the invocation pipeline in: every dispatch routed through this
   /// accessor (exert, Jobber children, space workers, CSP fan-out, facade
-  /// reads) goes via `invoker`. Null reverts to plain direct calls.
-  /// Resolution cache effectiveness is tracked on the obs metrics registry
+  /// reads) goes via `invoker`. With none, dispatches fail with
+  /// kFailedPrecondition; resolution still works. Resolution cache
+  /// effectiveness is tracked on the obs metrics registry
   /// (accessor.cache_hits / accessor.cache_misses).
   void set_invoker(RemoteInvoker* invoker) { invoker_ = invoker; }
   [[nodiscard]] RemoteInvoker* invoker() const { return invoker_; }
-
-  /// True when dispatches through this accessor cross the simnet fabric —
-  /// blocking wire calls pump the single-threaded virtual-time scheduler,
-  /// so rendezvous peers and fan-outs must not park pool threads on them.
-  [[nodiscard]] bool wire_transport() const {
-    return invoker_ != nullptr && invoker_->transport() == Transport::kWire;
-  }
 
   void clear_cache();
 

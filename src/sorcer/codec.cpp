@@ -16,14 +16,17 @@ struct CodecMetrics {
   obs::Counter& arena_bytes;
   obs::Counter& pool_acquires;
   obs::Counter& pool_reuse;
+  obs::Counter& marshal_ns;
 };
 
 CodecMetrics& codec_metrics() {
-  static CodecMetrics m{obs::metrics().counter("invoke.intern_hits"),
-                        obs::metrics().counter("invoke.intern_misses"),
-                        obs::metrics().counter("invoke.arena_bytes"),
-                        obs::metrics().counter("invoke.pool_acquires"),
-                        obs::metrics().counter("invoke.pool_reuse")};
+  static CodecMetrics m{
+      obs::metrics().counter("invoke.intern_hits"),
+      obs::metrics().counter("invoke.intern_misses"),
+      obs::metrics().counter("invoke.arena_bytes"),
+      obs::metrics().counter("invoke.pool_acquires"),
+      obs::metrics().counter("invoke.pool_reuse"),
+      obs::metrics().counter("invoke.marshal_ns", obs::Clock::kWall)};
   return m;
 }
 
@@ -458,6 +461,13 @@ void BufferPool::give_back(std::unique_ptr<WireBuffer> buf) {
 std::size_t BufferPool::retained() const {
   std::lock_guard lock(mu_);
   return free_.size();
+}
+
+MarshalTimer::~MarshalTimer() {
+  codec_metrics().marshal_ns.add(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0_)
+          .count()));
 }
 
 }  // namespace sensorcer::sorcer

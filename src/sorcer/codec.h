@@ -2,12 +2,11 @@
 // The zero-copy wire path: flat binary exertion codec, interned context
 // paths, arena-backed intern storage and recycled payload buffers.
 //
-// PR 3-6 funnelled every S2S call through sorcer/invoke, which makes the
-// exertion envelope the system-wide constant factor. The legacy envelope
-// (still modeled by ServiceContext::wire_bytes() for the kInProcess
-// transport) re-encodes every slash-separated path as a full string on every
-// hop and rebuilds a node-per-entry map on every decode. The flat codec
-// replaces that with small parallel records:
+// Every S2S call crosses sorcer/invoke, which makes the exertion envelope
+// the system-wide constant factor. The legacy envelope (kept below as the
+// measured baseline) re-encodes every slash-separated path as a full string
+// on every hop and rebuilds a node-per-entry map on every decode. The flat
+// codec replaces that with small parallel records:
 //
 //   [varint name_len][name bytes]
 //   [varint entry_count]
@@ -30,6 +29,7 @@
 // the table's ContextArena, and entry storage stays inside the exertion's
 // own context.
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -139,9 +139,9 @@ util::Status decode_context(const std::uint8_t* data, std::size_t size,
                             PathInternTable& interner, ServiceContext& into,
                             Leg leg = Leg::kRequest);
 
-/// The legacy string envelope (what PR 3 modeled with wire_bytes() + a
-/// 64-byte envelope): full path strings on every entry, and a decode that
-/// rebuilds a node-per-entry std::map exactly like the pre-flat
+/// The legacy string envelope (charged with a 64-byte request envelope,
+/// wire::kRequestEnvelopeBytes): full path strings on every entry, and a
+/// decode that rebuilds a node-per-entry std::map exactly like the pre-flat
 /// ServiceContext did. Kept as the equivalence baseline for tests and the
 /// bench_exertion marshalling micro-table.
 void encode_context_legacy(const ServiceContext& ctx, WireBuffer& out);
@@ -182,6 +182,20 @@ struct WireCodecState {
   std::shared_ptr<BufferPool> buffers = BufferPool::make();
   std::unordered_map<util::Uuid, PathInternTable> encode;
   std::unordered_map<util::Uuid, PathInternTable> decode;
+};
+
+/// Scoped timer around codec work at either end of a call: adds the real
+/// nanoseconds spent to invoke.marshal_ns, a wall-clock counter — the codec
+/// cost is genuine CPU work, not virtual time.
+class MarshalTimer {
+ public:
+  MarshalTimer() = default;
+  ~MarshalTimer();
+  MarshalTimer(const MarshalTimer&) = delete;
+  MarshalTimer& operator=(const MarshalTimer&) = delete;
+
+ private:
+  std::chrono::steady_clock::time_point t0_ = std::chrono::steady_clock::now();
 };
 
 }  // namespace sensorcer::sorcer

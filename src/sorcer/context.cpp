@@ -12,17 +12,6 @@ namespace {
 
 std::string path_str(std::string_view path) { return std::string(path); }
 
-struct SizeVisitor {
-  std::size_t operator()(std::monostate) const { return 1; }
-  std::size_t operator()(double) const { return 8; }
-  std::size_t operator()(std::int64_t) const { return 8; }
-  std::size_t operator()(bool) const { return 1; }
-  std::size_t operator()(const std::string& s) const { return s.size() + 2; }
-  std::size_t operator()(const std::vector<double>& v) const {
-    return 4 + 8 * v.size();
-  }
-};
-
 }  // namespace
 
 std::string context_value_to_string(const ContextValue& value) {
@@ -61,7 +50,6 @@ const ServiceContext::Entry* ServiceContext::find_entry(
 
 void ServiceContext::put(std::string_view path, ContextValue value,
                          PathDirection direction) {
-  wire_bytes_dirty_ = true;
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), path,
       [](const Entry& e, std::string_view p) { return e.path < p; });
@@ -142,7 +130,6 @@ bool ServiceContext::remove(std::string_view path) {
       [](const Entry& e, std::string_view p) { return e.path < p; });
   if (it == entries_.end() || it->path != path) return false;
   entries_.erase(it);
-  wire_bytes_dirty_ = true;
   return true;
 }
 
@@ -166,18 +153,6 @@ void ServiceContext::merge(const ServiceContext& other) {
   for (const Entry& e : other.entries_) put(e.path, e.value, e.direction);
 }
 
-std::size_t ServiceContext::wire_bytes() const {
-  if (!wire_bytes_dirty_) return wire_bytes_cache_;
-  std::size_t bytes = name_.size() + 4;
-  for (const Entry& e : entries_) {
-    bytes += e.path.size() + 2;
-    bytes += std::visit(SizeVisitor{}, e.value);
-  }
-  wire_bytes_cache_ = bytes;
-  wire_bytes_dirty_ = false;
-  return bytes;
-}
-
 std::string ServiceContext::to_string() const {
   std::string out = "context";
   if (!name_.empty()) out += " '" + name_ + "'";
@@ -191,7 +166,6 @@ std::string ServiceContext::to_string() const {
 void ServiceContext::reload_begin(std::string_view name) {
   name_.assign(name);
   reload_count_ = 0;
-  wire_bytes_dirty_ = true;
 }
 
 ContextValue& ServiceContext::reload_slot(std::string_view path,
@@ -211,7 +185,6 @@ ContextValue& ServiceContext::reload_slot(std::string_view path,
 
 ContextValue& ServiceContext::merge_slot(std::string_view path,
                                          PathDirection direction) {
-  wire_bytes_dirty_ = true;
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), path,
       [](const Entry& e, std::string_view p) { return e.path < p; });
@@ -224,7 +197,6 @@ ContextValue& ServiceContext::merge_slot(std::string_view path,
 
 void ServiceContext::reload_end() {
   entries_.resize(reload_count_);
-  wire_bytes_dirty_ = true;
 }
 
 }  // namespace sensorcer::sorcer

@@ -97,10 +97,6 @@ class ServiceContext {
   /// Merge every value of `other` into this context (other wins on clash).
   void merge(const ServiceContext& other);
 
-  /// Modeled serialized size for traffic accounting. Cached behind a dirty
-  /// flag: mutations invalidate, repeated accounting calls recompute once.
-  [[nodiscard]] std::size_t wire_bytes() const;
-
   /// Multi-line "path = value" rendering.
   [[nodiscard]] std::string to_string() const;
 
@@ -133,8 +129,6 @@ class ServiceContext {
   std::string name_;
   std::vector<Entry> entries_;  // sorted by path
   std::size_t reload_count_ = 0;
-  mutable std::size_t wire_bytes_cache_ = 0;
-  mutable bool wire_bytes_dirty_ = true;
 };
 
 }  // namespace sensorcer::sorcer

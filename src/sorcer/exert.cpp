@@ -1,13 +1,11 @@
 #include "sorcer/exert.h"
 
-#include <future>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sorcer/invoke.h"
 #include "sorcer/servicer.h"
-#include "util/thread_pool.h"
 
 namespace sensorcer::sorcer {
 
@@ -31,9 +29,9 @@ util::Result<ExertionPtr> exert_impl(const ExertionPtr& exertion,
                                      registry::Transaction* txn) {
   if (exertion->kind() == Exertion::Kind::kTask) {
     auto task = std::static_pointer_cast<Task>(exertion);
-    // Service substitution (§V.A): when a provider is unavailable — or,
-    // under wire transport, unreachable within the call deadline — pass the
-    // request on to an equivalent provider matching the same signature.
+    // Service substitution (§V.A): when a provider is unavailable — down,
+    // or unreachable within the call deadline — pass the request on to an
+    // equivalent provider matching the same signature.
     // A pinned provider name means "this provider, exactly" — no
     // substitution (and the original error is preserved).
     const int kMaxAttempts = task->signature().provider_name.empty() ? 3 : 1;
@@ -161,8 +159,48 @@ void settle_flight(Flight& f, ServiceAccessor& accessor,
   f.finished = true;
 }
 
-FanOut exert_all_wire(const std::vector<ExertionPtr>& batch,
-                      ServiceAccessor& accessor, registry::Transaction* txn) {
+}  // namespace
+
+util::Result<ExertionPtr> exert(const ExertionPtr& exertion,
+                                ServiceAccessor& accessor,
+                                registry::Transaction* txn) {
+  if (!exertion) {
+    return util::Status{util::ErrorCode::kInvalidArgument, "null exertion"};
+  }
+  if (util::Status wired = require_invoker(accessor); !wired.is_ok()) {
+    exertion->set_error(wired);
+    return wired;
+  }
+  exert_metrics().exertions.add(1);
+
+  // Parent preference: a context stamped on the exertion by its submitter
+  // (survives a scatter-gather hand-off) wins over the caller's
+  // thread-current one. The span we open becomes the context the whole
+  // subtree runs under.
+  obs::TraceContext parent = exertion->trace_context().valid()
+                                 ? exertion->trace_context()
+                                 : obs::current_context();
+  obs::Span span =
+      obs::tracer().start_span("exert:" + exertion->name(), parent);
+  exertion->set_trace_context(span.context());
+  obs::ContextGuard guard(span.context());
+
+  auto result = exert_impl(exertion, accessor, txn);
+  const bool failed =
+      !result.is_ok() || exertion->status() == ExertStatus::kFailed;
+  if (failed) exert_metrics().failures.add(1);
+  span.set_ok(!failed);
+  return result;
+}
+
+void exert_all(const std::vector<ExertionPtr>& batch,
+               ServiceAccessor& accessor, registry::Transaction* txn) {
+  if (util::Status wired = require_invoker(accessor); !wired.is_ok()) {
+    for (const auto& exertion : batch) {
+      if (exertion) exertion->set_error(wired);
+    }
+    return;
+  }
   RemoteInvoker* invoker = accessor.invoker();
   std::vector<Flight> flights;
   flights.reserve(batch.size());
@@ -215,65 +253,6 @@ FanOut exert_all_wire(const std::vector<ExertionPtr>& batch,
     // Outcomes live on the exertions; the call shell goes back to the pool.
     invoker->recycle(std::move(f.call));
   }
-  return FanOut::kWire;
-}
-
-}  // namespace
-
-util::Result<ExertionPtr> exert(const ExertionPtr& exertion,
-                                ServiceAccessor& accessor,
-                                registry::Transaction* txn) {
-  if (!exertion) {
-    return util::Status{util::ErrorCode::kInvalidArgument, "null exertion"};
-  }
-  exert_metrics().exertions.add(1);
-
-  // Parent preference: a context stamped on the exertion by its submitter
-  // (survives cross-thread dispatch) wins over the caller's thread-current
-  // one. The span we open becomes the context the whole subtree runs under.
-  obs::TraceContext parent = exertion->trace_context().valid()
-                                 ? exertion->trace_context()
-                                 : obs::current_context();
-  obs::Span span =
-      obs::tracer().start_span("exert:" + exertion->name(), parent);
-  exertion->set_trace_context(span.context());
-  obs::ContextGuard guard(span.context());
-
-  auto result = exert_impl(exertion, accessor, txn);
-  const bool failed =
-      !result.is_ok() || exertion->status() == ExertStatus::kFailed;
-  if (failed) exert_metrics().failures.add(1);
-  span.set_ok(!failed);
-  return result;
-}
-
-FanOut exert_all(const std::vector<ExertionPtr>& batch,
-                 ServiceAccessor& accessor, registry::Transaction* txn,
-                 util::ThreadPool* pool) {
-  if (batch.empty()) return FanOut::kSequence;
-  // Under wire transport, concurrency comes from the fabric: scatter all
-  // the requests, gather with one shared pump. Threads would only serialize
-  // behind the single virtual-time scheduler.
-  if (accessor.wire_transport()) return exert_all_wire(batch, accessor, txn);
-  if (pool != nullptr && batch.size() > 1) {
-    if (pool->on_worker_thread()) {
-      // Nested fan-out on a worker: waiting on this pool's queue would
-      // deadlock once every worker did. Run inline; the caller still models
-      // the batch as pooled, so modeled latency is unchanged.
-      for (const auto& exertion : batch) (void)exert(exertion, accessor, txn);
-      return FanOut::kPooled;
-    }
-    std::vector<std::future<void>> futures;
-    futures.reserve(batch.size());
-    for (const auto& exertion : batch) {
-      futures.push_back(pool->submit(
-          [&accessor, exertion, txn] { (void)exert(exertion, accessor, txn); }));
-    }
-    for (auto& f : futures) f.get();
-    return FanOut::kPooled;
-  }
-  for (const auto& exertion : batch) (void)exert(exertion, accessor, txn);
-  return FanOut::kSequence;
 }
 
 }  // namespace sensorcer::sorcer

@@ -15,33 +15,27 @@
 #include "sorcer/exertion.h"
 #include "sorcer/invoke.h"
 
-namespace sensorcer::util {
-class ThreadPool;
-}
-
 namespace sensorcer::sorcer {
 
 /// Exert `exertion` onto the network reachable through `accessor`. On
 /// routing failure (no matching provider / no rendezvous peer) the exertion
 /// is returned with kFailed status and the error recorded on it; the Result
-/// itself is only an error for null input.
+/// itself is an error only for null input and for an accessor with no
+/// invoker (kFailedPrecondition, also recorded on the exertion).
 util::Result<ExertionPtr> exert(const ExertionPtr& exertion,
                                 ServiceAccessor& accessor,
                                 registry::Transaction* txn = nullptr);
 
 /// Scatter-gather exert(): submit every exertion in `batch` with the same
 /// routing, substitution-retry, metric and tracing semantics as exert() —
-/// but overlapped. Under wire transport every call is scattered onto the
-/// fabric through begin_invoke() and one shared pump gathers them, so the
-/// batch costs ~max(latency) instead of the sum; a task that times out is
-/// re-resolved with exclusion and re-issued while its siblings keep flying.
-/// In-process, a `pool` fans the batch across its threads; with neither,
-/// the exertions run sequentially. Outcomes land on the exertions. The
-/// returned FanOut says how the batch actually progressed — callers pick
-/// their latency model from it (see invoke.h).
-FanOut exert_all(const std::vector<ExertionPtr>& batch,
-                 ServiceAccessor& accessor,
-                 registry::Transaction* txn = nullptr,
-                 util::ThreadPool* pool = nullptr);
+/// but overlapped. Every call is scattered onto the fabric through
+/// begin_invoke() and one shared pump gathers them, so the batch costs
+/// ~max(latency) instead of the sum; a task that times out is re-resolved
+/// with exclusion and re-issued while its siblings keep flying. Outcomes
+/// land on the exertions (kFailedPrecondition on each when the accessor has
+/// no invoker).
+void exert_all(const std::vector<ExertionPtr>& batch,
+               ServiceAccessor& accessor,
+               registry::Transaction* txn = nullptr);
 
 }  // namespace sensorcer::sorcer

@@ -91,7 +91,8 @@ class Exertion {
 
   /// Observability trace context this exertion executes under. Before
   /// dispatch it is the parent context (stamped by the submitter so the
-  /// link survives hand-off to a pool worker); exert() replaces it with the
+  /// link survives a scatter-gather batch, where no thread-local context is
+  /// current per child); exert() replaces it with the
   /// exertion's own span context, which children and providers inherit.
   [[nodiscard]] const obs::TraceContext& trace_context() const {
     return trace_ctx_;

@@ -2,14 +2,11 @@
 
 #include <any>
 #include <cassert>
-#include <chrono>
-#include <future>
 
 #include "obs/metrics.h"
 #include "sorcer/accessor.h"
 #include "sorcer/provider.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace sensorcer::sorcer {
 
@@ -18,14 +15,12 @@ namespace {
 struct InvokeMetrics {
   obs::Counter& calls;
   obs::Counter& wire_calls;
-  obs::Counter& inprocess_calls;
   obs::Counter& timeouts;
   obs::Counter& late_responses;
   obs::Counter& pings;
   obs::Counter& ping_failures;
   obs::Counter& idle_waits;
   obs::Counter& overlap_saved_ns;
-  obs::Counter& marshal_ns;
   obs::Gauge& outstanding;
   obs::Histogram& rtt_us;
 };
@@ -33,48 +28,15 @@ struct InvokeMetrics {
 InvokeMetrics& invoke_metrics() {
   static InvokeMetrics m{obs::metrics().counter("invoke.calls"),
                          obs::metrics().counter("invoke.wire_calls"),
-                         obs::metrics().counter("invoke.inprocess_calls"),
                          obs::metrics().counter("invoke.timeouts"),
                          obs::metrics().counter("invoke.late_responses"),
                          obs::metrics().counter("invoke.pings"),
                          obs::metrics().counter("invoke.ping_failures"),
                          obs::metrics().counter("invoke.idle_waits"),
                          obs::metrics().counter("invoke.overlap_saved_ns"),
-                         obs::metrics().counter("invoke.marshal_ns"),
                          obs::metrics().gauge("invoke.outstanding"),
                          obs::metrics().histogram("invoke.rtt_us")};
   return m;
-}
-
-/// Real (wall-clock) nanoseconds spent marshalling, accumulated into
-/// invoke.marshal_ns — the codec cost is genuine CPU work, not virtual time.
-struct MarshalTimer {
-  std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
-  ~MarshalTimer() {
-    invoke_metrics().marshal_ns.add(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
-  }
-};
-
-/// The historical direct-call path, shared by the invoker's kInProcess mode
-/// and by call sites with no invoker wired at all: a direct virtual call,
-/// with the RPC's bytes modeled against the provider's endpoint when it has
-/// a fabric attached (exactly what ServiceProvider::service used to charge).
-util::Result<ExertionPtr> in_process_call(
-    ServiceProvider* provider, const std::shared_ptr<Servicer>& servicer,
-    const ExertionPtr& exertion, registry::Transaction* txn) {
-  const std::size_t request_bytes =
-      exertion->context().wire_bytes() + wire::kRequestEnvelopeBytes;
-  auto result = servicer->service(exertion, txn);
-  if (provider != nullptr && provider->network() != nullptr) {
-    provider->network()->account_rpc(provider->network_address(),
-                                     provider->network_address(),
-                                     request_bytes,
-                                     exertion->context().wire_bytes());
-  }
-  return result;
 }
 
 }  // namespace
@@ -198,14 +160,17 @@ PendingCall RemoteInvoker::begin_invoke(
   }
   invoke_metrics().calls.add(1);
   auto* provider = dynamic_cast<ServiceProvider*>(servicer.get());
-  const bool wire_eligible = config_.transport == Transport::kWire &&
-                             provider != nullptr &&
-                             provider->network() == &net_ &&
-                             net_.is_attached(provider->network_address());
-  if (!wire_eligible) {
-    invoke_metrics().inprocess_calls.add(1);
+  if (provider == nullptr || provider->network() != &net_ ||
+      !net_.is_attached(provider->network_address())) {
+    // No live endpoint on this fabric — never attached, attached elsewhere,
+    // or detached after a crash: unreachable, like any dead address.
+    exertion->set_error(
+        {util::ErrorCode::kUnavailable,
+         util::format("'%s' has no live endpoint on the fabric",
+                      provider != nullptr ? provider->provider_name().c_str()
+                                          : "servicer")});
     call.completed_ = true;
-    call.result_.emplace(in_process_call(provider, servicer, exertion, txn));
+    call.result_.emplace(util::Result<ExertionPtr>(exertion));
     return call;
   }
 
@@ -272,9 +237,8 @@ void RemoteInvoker::finish_call(PendingCall& call, const Arrival* arrival) {
   if (arrival != nullptr) {
     // The round trip advanced the virtual clock by the real wire delays
     // plus the provider's modeled service time; top the exertion's latency
-    // account up to what the requestor actually waited, so wire-mode
-    // latency reflects transport cost too (never less than the modeled
-    // in-process figure).
+    // account up to what the requestor actually waited, so latency reflects
+    // transport cost too (never less than the provider's modeled figure).
     call.elapsed_ = arrival->at - call.started_;
     const util::SimDuration accrued =
         call.exertion_->latency() - call.accrued_before_;
@@ -401,7 +365,10 @@ util::Status RemoteInvoker::ping(simnet::Address target,
   msg.source = addr_;
   msg.destination = target;
   msg.topic = wire::kPingTopic;
-  msg.body = wire::Request{call_id, addr_, nullptr, nullptr};
+  wire::Request ping;
+  ping.call_id = call_id;
+  ping.reply_to = addr_;
+  msg.body = std::move(ping);
   msg.payload_bytes = wire::kPingBytes;
   msg.protocol = simnet::Protocol::kUdp;
 
@@ -424,11 +391,10 @@ util::Status RemoteInvoker::ping(simnet::Address target,
   return util::Status::ok();
 }
 
-util::Result<ExertionPtr> ServicerStub::exert(const ExertionPtr& exertion,
-                                              registry::Transaction* txn) {
-  if (invoker_ != nullptr) return invoker_->invoke(servicer_, exertion, txn);
-  return in_process_call(dynamic_cast<ServiceProvider*>(servicer_.get()),
-                         servicer_, exertion, txn);
+util::Status require_invoker(const ServiceAccessor& accessor) {
+  if (accessor.invoker() != nullptr) return util::Status::ok();
+  return {util::ErrorCode::kFailedPrecondition,
+          "accessor has no invoker: no provider is reachable"};
 }
 
 util::Result<ExertionPtr> invoke_servicer(
@@ -438,62 +404,40 @@ util::Result<ExertionPtr> invoke_servicer(
     return util::Status{util::ErrorCode::kInvalidArgument,
                         "null servicer or exertion"};
   }
-  if (RemoteInvoker* invoker = accessor.invoker(); invoker != nullptr) {
-    return invoker->invoke(servicer, exertion, txn);
+  if (util::Status wired = require_invoker(accessor); !wired.is_ok()) {
+    exertion->set_error(wired);
+    return wired;
   }
-  // No invoker wired (bare accessor, unit tests): the historical direct
-  // call, still byte-modeled when the provider sits on a fabric.
-  return in_process_call(dynamic_cast<ServiceProvider*>(servicer.get()),
-                         servicer, exertion, txn);
+  return accessor.invoker()->invoke(servicer, exertion, txn);
 }
 
-FanOut invoke_servicer_all(
+void invoke_servicer_all(
     ServiceAccessor& accessor,
     const std::vector<std::pair<std::shared_ptr<Servicer>, ExertionPtr>>&
         calls,
-    registry::Transaction* txn, util::ThreadPool* pool) {
-  if (calls.empty()) return FanOut::kSequence;
+    registry::Transaction* txn) {
+  if (util::Status wired = require_invoker(accessor); !wired.is_ok()) {
+    for (const auto& [servicer, exertion] : calls) {
+      if (exertion) exertion->set_error(wired);
+    }
+    return;
+  }
   RemoteInvoker* invoker = accessor.invoker();
-  if (invoker != nullptr && invoker->transport() == Transport::kWire) {
-    // Scatter every request onto the fabric, then gather them with one
-    // shared pump: the round-trips overlap in virtual time.
-    std::vector<PendingCall> pending;
-    pending.reserve(calls.size());
-    for (const auto& [servicer, exertion] : calls) {
-      pending.push_back(invoker->begin_invoke(servicer, exertion, txn));
-    }
-    std::vector<PendingCall*> open;
-    open.reserve(pending.size());
-    for (PendingCall& call : pending) {
-      if (!call.completed()) open.push_back(&call);
-    }
-    if (!open.empty()) invoker->pump_until_all(open);
-    // Outcomes landed on the exertions; return the call shells to the pool.
-    for (PendingCall& call : pending) invoker->recycle(std::move(call));
-    return FanOut::kWire;
-  }
-  if (pool != nullptr && calls.size() > 1) {
-    if (pool->on_worker_thread()) {
-      // Nested fan-out on a worker (see exert_all): inline, modeled pooled.
-      for (const auto& [servicer, exertion] : calls) {
-        (void)invoke_servicer(accessor, servicer, exertion, txn);
-      }
-      return FanOut::kPooled;
-    }
-    std::vector<std::future<void>> futures;
-    futures.reserve(calls.size());
-    for (const auto& [servicer, exertion] : calls) {
-      futures.push_back(pool->submit([&accessor, servicer, exertion, txn] {
-        (void)invoke_servicer(accessor, servicer, exertion, txn);
-      }));
-    }
-    for (auto& f : futures) f.get();
-    return FanOut::kPooled;
-  }
+  // Scatter every request onto the fabric, then gather them with one shared
+  // pump: the round-trips overlap in virtual time.
+  std::vector<PendingCall> pending;
+  pending.reserve(calls.size());
   for (const auto& [servicer, exertion] : calls) {
-    (void)invoke_servicer(accessor, servicer, exertion, txn);
+    pending.push_back(invoker->begin_invoke(servicer, exertion, txn));
   }
-  return FanOut::kSequence;
+  std::vector<PendingCall*> open;
+  open.reserve(pending.size());
+  for (PendingCall& call : pending) {
+    if (!call.completed()) open.push_back(&call);
+  }
+  if (!open.empty()) invoker->pump_until_all(open);
+  // Outcomes landed on the exertions; return the call shells to the pool.
+  for (PendingCall& call : pending) invoker->recycle(std::move(call));
 }
 
 }  // namespace sensorcer::sorcer

@@ -1,16 +1,20 @@
 #pragma once
-// The unified service-to-service invocation pipeline.
+// The service-to-service invocation pipeline — the one way a requestor
+// reaches a provider.
 //
 // Every exertion dispatch — exert()'s task binding, the Jobber's child
 // dispatch, space workers, the CSP's direct fan-out, facade reads — funnels
-// through invoke_servicer(), which routes the call through the accessor's
-// RemoteInvoker. Under Transport::kWire the call really crosses the simnet
-// fabric: the request is marshalled into a Message sized by the exertion's
-// modeled context bytes, sent under TCP protocol headers with trace-context
-// propagation, dispatched provider-side by ServiceProvider's network
-// handler, and answered the same way. Loss, partitions, bandwidth shaping
-// and per-call deadlines (kTimeout) all come from the fabric for free —
-// once calls are messages, they can be observed, dropped, and re-routed.
+// through the accessor's RemoteInvoker, and every call crosses the simnet
+// fabric: the request is marshalled into a Message sized by the flat-codec
+// encoding of the exertion's context, sent under TCP protocol headers with
+// trace-context propagation, dispatched provider-side by ServiceProvider's
+// network handler, and answered the same way. Loss, partitions, bandwidth
+// shaping and per-call deadlines (kTimeout) all come from the fabric for
+// free — once calls are messages, they can be observed, dropped, and
+// re-routed. A provider with no live endpoint on the fabric (never attached,
+// or detached after a crash) is unreachable like any dead address
+// (kUnavailable); an accessor with no invoker cannot dispatch at all
+// (kFailedPrecondition).
 //
 // The pipeline is asynchronous at its core: begin_invoke() scatters a
 // request and hands back a PendingCall; pump_until_all() steps the
@@ -19,10 +23,6 @@
 // max(child latency), not the sum — fan-out concurrency lives in the
 // messaging layer, not in threads. invoke() is the one-call degenerate
 // case.
-//
-// Transport::kInProcess (the default) keeps the historical direct virtual
-// call plus account_rpc() byte modeling, so unit tests and the PR 2
-// read-path numbers stay comparable.
 
 #include <cstdint>
 #include <memory>
@@ -43,20 +43,14 @@
 #include "sorcer/exertion.h"
 #include "sorcer/servicer.h"
 
-namespace sensorcer::util {
-class ThreadPool;
-}
-
 namespace sensorcer::sorcer {
 
 class ServiceAccessor;
 class ServiceProvider;
 
-/// How invoke_servicer() reaches a provider.
-enum class Transport {
-  kInProcess,  // direct virtual call; bytes modeled via account_rpc()
-  kWire,       // request/response Messages over the simnet fabric
-};
+/// How invoke_servicer() reaches a provider: request/response Messages over
+/// the simnet fabric, the only transport there is.
+enum class Transport { kWire };
 
 /// Wire-protocol topics (application dispatch tags on Messages).
 namespace wire {
@@ -65,20 +59,16 @@ inline constexpr const char* kResponseTopic = "invoke.response";
 inline constexpr const char* kPingTopic = "invoke.ping";
 inline constexpr const char* kPongTopic = "invoke.pong";
 
-/// Marshalling envelope sizes, charged on top of the exertion's modeled
-/// context bytes: call id + reply address + signature on the request,
-/// call id + status on the response. The request constant matches the
-/// historical in-process model (context + 64), keeping byte accounting
-/// continuous across transports.
+/// Request envelope of the legacy string codec (call id + reply address +
+/// signature), charged on top of encode_context_legacy()'s bytes — the
+/// baseline the flat codec is measured against (bench_exertion's PERF-5
+/// marshalling table).
 inline constexpr std::size_t kRequestEnvelopeBytes = 64;
-inline constexpr std::size_t kResponseEnvelopeBytes = 32;
 inline constexpr std::size_t kPingBytes = 16;
 
-/// Envelope sizes for the flat binary codec (sorcer/codec.h) used on the
-/// wire transport: the string envelope's fixed fields shrink to varint call
+/// Envelope sizes for the flat binary codec (sorcer/codec.h): varint call
 /// id + 16-byte reply uuid + interned signature id on the request, varint
-/// call id + status code on the response. The kInProcess model keeps the
-/// historical constants above so PR 2/3 byte accounting stays comparable.
+/// call id + status code on the response.
 inline constexpr std::size_t kFlatRequestEnvelopeBytes = 28;
 inline constexpr std::size_t kFlatResponseEnvelopeBytes = 12;
 
@@ -111,7 +101,8 @@ struct Response {
 }  // namespace wire
 
 struct InvokeConfig {
-  Transport transport = Transport::kInProcess;
+  /// Always kWire; kept so configs that name the transport still compile.
+  Transport transport = Transport::kWire;
   /// Per-call deadline: how long (virtual time) a requestor pumps the fabric
   /// for a response before failing the call with kTimeout. Generous by
   /// default so a coordinated job's child round-trips fit inside the parent
@@ -122,10 +113,10 @@ struct InvokeConfig {
 };
 
 /// One scattered invocation, owned by its issuer until gathered through
-/// pump_until_all(). A call that never crossed the fabric — in-process
-/// transport, wire-ineligible target, send failure — is born completed with
-/// its result already in place. Move-only: the invoker keeps only the call
-/// id in its pending set; the handle is the sole completion slot.
+/// pump_until_all(). A call that never crossed the fabric — null input, an
+/// unreachable target — is born completed with its result already in
+/// place. Move-only: the invoker keeps only the call id in its pending set;
+/// the handle is the sole completion slot.
 class PendingCall {
  public:
   PendingCall() = default;
@@ -158,7 +149,7 @@ class PendingCall {
 
 /// Client half of the pipeline ("requestor proxy" in SORCER terms — the
 /// dynamically downloaded service stub). One per deployment; the accessor
-/// hands it to every call site. Wire mode is single-threaded by design: the
+/// hands it to every call site. It is single-threaded by design: the
 /// issuer of a batch pumps the virtual-time scheduler until every response
 /// lands, and nested dispatches (a provider invoking downstream providers
 /// mid-call) pump the same scheduler recursively on the same stack, exactly
@@ -172,20 +163,20 @@ class RemoteInvoker {
   RemoteInvoker(const RemoteInvoker&) = delete;
   RemoteInvoker& operator=(const RemoteInvoker&) = delete;
 
-  /// Invoke `servicer->service(exertion, txn)` through the configured
-  /// transport. Wire-ineligible targets (not a ServiceProvider, or not
-  /// attached to this invoker's fabric) fall back to the in-process path,
-  /// so mixed deployments keep working. On deadline expiry the exertion is
-  /// failed with kTimeout and returned (at-most-once semantics: the
-  /// provider may still have executed; a late response is dropped).
+  /// Invoke `servicer->service(exertion, txn)` over the fabric. A target
+  /// with no live endpoint on this invoker's fabric (not a ServiceProvider,
+  /// never attached, attached elsewhere, or detached) fails the exertion
+  /// with kUnavailable. On deadline expiry the exertion is failed with
+  /// kTimeout and returned (at-most-once semantics: the provider may still
+  /// have executed; a late response is dropped).
   util::Result<ExertionPtr> invoke(const std::shared_ptr<Servicer>& servicer,
                                    const ExertionPtr& exertion,
                                    registry::Transaction* txn);
 
   /// Scatter half of invoke(): issue the request and return without
-  /// waiting. The handle completes synchronously for anything that does not
-  /// cross the fabric; otherwise gather it with pump_until_all(). Issuing N
-  /// calls before gathering overlaps their round-trips on the fabric.
+  /// waiting. The handle completes synchronously when the request cannot be
+  /// sent; otherwise gather it with pump_until_all(). Issuing N calls
+  /// before gathering overlaps their round-trips on the fabric.
   PendingCall begin_invoke(const std::shared_ptr<Servicer>& servicer,
                            const ExertionPtr& exertion,
                            registry::Transaction* txn);
@@ -204,8 +195,6 @@ class RemoteInvoker {
   /// kNotFound when the endpoint is not attached at all.
   util::Status ping(simnet::Address target, util::SimDuration timeout = 0);
 
-  [[nodiscard]] Transport transport() const { return config_.transport; }
-  void set_transport(Transport t) { config_.transport = t; }
   void set_call_timeout(util::SimDuration t) { config_.call_timeout = t; }
   [[nodiscard]] const InvokeConfig& config() const { return config_; }
 
@@ -233,10 +222,6 @@ class RemoteInvoker {
     RemoteInvoker& inv;
   };
   friend struct PumpGuard;
-
-  util::Result<ExertionPtr> invoke_in_process(
-      ServiceProvider* provider, const std::shared_ptr<Servicer>& servicer,
-      const ExertionPtr& exertion, registry::Transaction* txn);
 
   /// A response that landed but has not been gathered yet: the dispatch
   /// status, when it arrived (virtual time), its encoded context payload
@@ -272,60 +257,36 @@ class RemoteInvoker {
   // definition-bearing response was lost): the next request to each carries
   // reset_reply_interning so the provider restarts its side.
   std::unordered_set<simnet::Address> reply_reset_;
-  // In-process calls run invoke() concurrently from pool threads (the wire
-  // path is scheduler-thread only), so the recycling pool takes a mutex.
+  // invoke() may be entered from more than one OS thread over a run (readers
+  // of one composite hand its collection from thread to thread), so the
+  // recycling pool takes a mutex.
   std::mutex call_pool_mu_;
   std::vector<PendingCall> call_pool_;
   int pump_depth_ = 0;
   std::thread::id pump_thread_{};
 };
 
-/// A bound stub: the pairing of a resolved Servicer proxy with the invoker
-/// that reaches it. What the accessor's resolution hands back conceptually —
-/// call sites that hold a provider across calls keep one of these instead
-/// of re-deciding the transport each time.
-class ServicerStub {
- public:
-  ServicerStub(std::shared_ptr<Servicer> servicer, RemoteInvoker* invoker)
-      : servicer_(std::move(servicer)), invoker_(invoker) {}
-
-  util::Result<ExertionPtr> exert(const ExertionPtr& exertion,
-                                  registry::Transaction* txn = nullptr);
-
-  [[nodiscard]] const std::shared_ptr<Servicer>& servicer() const {
-    return servicer_;
-  }
-
- private:
-  std::shared_ptr<Servicer> servicer_;
-  RemoteInvoker* invoker_;  // null = plain direct call
-};
+/// kFailedPrecondition when `accessor` has no invoker wired — such an
+/// accessor can reach no provider. Every dispatch entry point (exert,
+/// exert_all, invoke_servicer, invoke_servicer_all) checks it first.
+util::Status require_invoker(const ServiceAccessor& accessor);
 
 /// The one call-site entry point: route `servicer->service(...)` through
-/// `accessor`'s invoker (direct virtual call when none is wired).
+/// `accessor`'s invoker. Without one, the exertion is failed with
+/// kFailedPrecondition and that status is returned.
 util::Result<ExertionPtr> invoke_servicer(
     ServiceAccessor& accessor, const std::shared_ptr<Servicer>& servicer,
     const ExertionPtr& exertion, registry::Transaction* txn);
 
-/// How a batch dispatch actually progressed — callers pick their latency
-/// model from it. kWire means the round-trips overlapped on the fabric, so
-/// the batch window already elapsed in virtual time (modeling serialized
-/// per-call costs on top would double-count); kPooled means real threads
-/// overlapped wall-clock work but virtual time stood still (the caller's
-/// parallel model supplies the virtual cost); kSequence means the calls ran
-/// one after another.
-enum class FanOut { kSequence, kPooled, kWire };
-
-/// Batch counterpart of invoke_servicer(): dispatch every (servicer,
-/// exertion) pair and gather them all. Under wire transport the calls are
-/// scattered through begin_invoke() and their round-trips overlap on the
-/// fabric; in-process with a `pool` they fan out across its threads;
-/// otherwise they run sequentially. Outcomes land on the exertions
-/// themselves.
-FanOut invoke_servicer_all(
+/// Batch counterpart of invoke_servicer(): scatter every (servicer,
+/// exertion) pair through begin_invoke() and gather them with one shared
+/// pump, so their round-trips overlap on the fabric. Outcomes land on the
+/// exertions themselves (kFailedPrecondition on each when the accessor has
+/// no invoker).
+void invoke_servicer_all(
     ServiceAccessor& accessor,
     const std::vector<std::pair<std::shared_ptr<Servicer>, ExertionPtr>>&
         calls,
-    registry::Transaction* txn = nullptr, util::ThreadPool* pool = nullptr);
+    registry::Transaction* txn = nullptr);
 
 }  // namespace sensorcer::sorcer

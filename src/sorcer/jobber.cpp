@@ -22,11 +22,8 @@ JobMetrics& jobber_metrics() {
 
 }  // namespace
 
-Jobber::Jobber(std::string name, ServiceAccessor& accessor,
-               util::ThreadPool* pool)
-    : ServiceProvider(std::move(name), {type::kJobber}),
-      accessor_(accessor),
-      pool_(pool) {}
+Jobber::Jobber(std::string name, ServiceAccessor& accessor)
+    : ServiceProvider(std::move(name), {type::kJobber}), accessor_(accessor) {}
 
 util::Result<ExertionPtr> Jobber::service(ExertionPtr exertion,
                                           registry::Transaction* txn) {
@@ -51,7 +48,7 @@ util::Result<ExertionPtr> Jobber::service(ExertionPtr exertion,
   jobber_metrics().jobs.add(1);
 
   // Stamp children with the job's trace context before dispatch: parallel
-  // flow hands them to pool workers, where thread-local context is useless.
+  // flow scatters them as one batch, where thread-local context is useless.
   for (const auto& child : job->children()) {
     if (!child->trace_context().valid()) {
       child->set_trace_context(job->trace_context());
@@ -120,29 +117,23 @@ void Jobber::run_sequence(Job& job, registry::Transaction* txn) {
 void Jobber::run_parallel(Job& job, registry::Transaction* txn) {
   const auto& children = job.children();
 
-  // One scatter-gather batch through the invocation pipeline: under wire
-  // transport the children are all scattered onto the fabric and gathered
-  // with one shared pump, so their round-trips overlap in virtual time;
-  // in-process they fan out across the worker pool. Each child keeps
-  // exert()'s full routing and substitution-retry semantics.
-  const FanOut fan_out = exert_all(children, accessor_, txn, pool_);
+  // One scatter-gather batch through the invocation pipeline: the children
+  // are all scattered onto the fabric and gathered with one shared pump, so
+  // their round-trips overlap in virtual time. Each child keeps exert()'s
+  // full routing and substitution-retry semantics.
+  exert_all(children, accessor_, txn);
 
   // Parallel latency model: all children progress together, so the job pays
-  // the slowest child plus dispatch overhead.
-  util::SimDuration slowest = 0;
-  for (const auto& child : children) {
-    slowest = std::max(slowest, child->latency());
-  }
-  if (fan_out == FanOut::kWire) {
-    // The fabric already charged the overlapped batch window in virtual
-    // time (each child's latency carries its own round-trip); the job adds
-    // one batch-dispatch overhead, not one per child — per-child costs on
-    // top of measured fabric time would double-count the fan-out.
+  // the slowest child — whose latency already carries its own round-trip —
+  // plus one batch-dispatch overhead; per-child costs on top of measured
+  // fabric time would double-count the fan-out. An empty batch costs
+  // nothing.
+  if (!children.empty()) {
+    util::SimDuration slowest = 0;
+    for (const auto& child : children) {
+      slowest = std::max(slowest, child->latency());
+    }
     job.add_latency(slowest + kDispatchOverhead);
-  } else {
-    job.add_latency(slowest +
-                    static_cast<util::SimDuration>(children.size()) *
-                        kDispatchOverhead);
   }
 
   for (const auto& child : children) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <any>
-#include <chrono>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -26,23 +25,6 @@ TaskMetrics& task_metrics() {
                        obs::metrics().histogram("sorcer.task.latency_us")};
   return m;
 }
-
-/// Provider-side share of the wall-clock codec cost (same counter the
-/// requestor side accumulates in sorcer/invoke.cpp).
-obs::Counter& marshal_ns_counter() {
-  static obs::Counter& c = obs::metrics().counter("invoke.marshal_ns");
-  return c;
-}
-
-struct MarshalTimer {
-  std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
-  ~MarshalTimer() {
-    marshal_ns_counter().add(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
-  }
-};
 
 }  // namespace
 
@@ -95,7 +77,9 @@ void ServiceProvider::handle_network_message(const simnet::Message& msg) {
     pong.source = net_addr_;
     pong.destination = ping->reply_to;
     pong.topic = wire::kPongTopic;
-    pong.body = wire::Response{ping->call_id, util::Status::ok()};
+    wire::Response body;
+    body.call_id = ping->call_id;
+    pong.body = std::move(body);
     pong.payload_bytes = wire::kPingBytes;
     pong.protocol = simnet::Protocol::kUdp;
     (void)net_->send(pong);
@@ -131,7 +115,10 @@ void ServiceProvider::handle_network_message(const simnet::Message& msg) {
       err.source = net_addr_;
       err.destination = req->reply_to;
       err.topic = wire::kResponseTopic;
-      err.body = wire::Response{req->call_id, std::move(decoded)};
+      wire::Response body;
+      body.call_id = req->call_id;
+      body.transport_status = std::move(decoded);
+      err.body = std::move(body);
       err.payload_bytes = wire::kFlatResponseEnvelopeBytes;
       err.protocol = simnet::Protocol::kTcp;
       err.trace = obs::current_context();
@@ -253,9 +240,9 @@ util::Result<ExertionPtr> ServiceProvider::service(
   }
 
   std::lock_guard lock(mu_);
-  // Invocation span: parented on the exertion's context (stamped by exert(),
-  // valid across pool-worker threads) so the provider call links into the
-  // request's trace even when dispatched off-thread.
+  // Invocation span: parented on the exertion's context (stamped by exert()
+  // and carried on the exertion) so the provider call links into the
+  // request's trace even when dispatched from a bare scheduler callback.
   obs::TraceContext parent = task->trace_context().valid()
                                  ? task->trace_context()
                                  : obs::current_context();
@@ -264,8 +251,7 @@ util::Result<ExertionPtr> ServiceProvider::service(
   obs::ContextGuard trace_guard(span.context());
   task->set_status(ExertStatus::kRunning);
   // Byte accounting lives in the invocation pipeline (sorcer/invoke.*):
-  // wire transport charges real request/response messages, the in-process
-  // path models the same RPC via account_rpc.
+  // the fabric charges the real request/response messages.
   util::Status result = op->second.fn(task->context());
   const util::SimDuration modeled =
       op->second.service_time + extra_invocation_latency(sig.selector);

@@ -5,8 +5,8 @@
 // context, with a modeled service time), registers itself with lookup
 // services under its interface names, keeps its registrations alive through
 // a LeaseRenewalManager, and executes task exertions whose signature it
-// matches. Invocation is serialized per provider so the Jobber's parallel
-// flow can safely fan out across providers on real threads.
+// matches. Invocation is serialized per provider, so callers on several
+// threads are safe.
 
 #include <functional>
 #include <map>
@@ -48,10 +48,9 @@ class ServiceProvider : public Servicer,
 
   /// Put this provider on the fabric: attaches an endpoint whose handler
   /// dispatches invoke.request messages through service() and answers with
-  /// invoke.response (plus invoke.ping → invoke.pong liveness probes). Also
-  /// enables byte accounting for in-process invocations routed through the
-  /// invocation pipeline. Re-attaching moves the endpoint; the destructor
-  /// detaches it.
+  /// invoke.response (plus invoke.ping → invoke.pong liveness probes). A
+  /// provider that is not attached cannot be invoked. Re-attaching moves the
+  /// endpoint; the destructor detaches it.
   void attach_network(simnet::Network& net);
 
   [[nodiscard]] simnet::Network* network() const { return net_; }

@@ -23,12 +23,11 @@ SpacerMetrics& spacer_metrics() {
 }  // namespace
 
 Spacer::Spacer(std::string name, ServiceAccessor& accessor, ExertSpace& space,
-               std::size_t workers, util::ThreadPool* pool)
+               std::size_t workers)
     : ServiceProvider(std::move(name), {type::kSpacer}),
       accessor_(accessor),
       space_(space),
-      workers_(workers == 0 ? 1 : workers),
-      pool_(pool) {}
+      workers_(workers == 0 ? 1 : workers) {}
 
 void Spacer::execute_envelope(const ExertSpace::Envelope& env,
                               registry::Transaction* txn) {
@@ -63,8 +62,8 @@ util::Result<ExertionPtr> Spacer::service(ExertionPtr exertion,
   job->set_status(ExertStatus::kRunning);
   spacer_metrics().jobs.add(1);
 
-  // Stamp children before they enter the space: take() may hand an envelope
-  // to a pool worker whose thread-local context is unrelated to this job.
+  // Stamp children before they enter the space: the drained batch is
+  // scattered as a whole, where thread-local context is useless.
   for (const auto& child : job->children()) {
     if (!child->trace_context().valid()) {
       child->set_trace_context(job->trace_context());
@@ -86,17 +85,16 @@ util::Result<ExertionPtr> Spacer::service(ExertionPtr exertion,
   for (const auto& task : tasks) space_.write(task);
 
   // Drain the space: take every envelope, then run the whole batch through
-  // the scatter-gather pipeline — overlapped on the fabric under wire
-  // transport, fanned across the pool in-process. Workers are a latency
-  // model, not an execution mechanism: the makespan charge below still
-  // reflects a crew of `workers_` pulling from the space.
+  // the scatter-gather pipeline, overlapped on the fabric. Workers are a
+  // latency model, not an execution mechanism: the makespan charge below
+  // still reflects a crew of `workers_` pulling from the space.
   std::vector<ExertSpace::Envelope> taken;
   taken.reserve(tasks.size());
   while (auto env = space_.take()) taken.push_back(std::move(*env));
   std::vector<ExertionPtr> drained;
   drained.reserve(taken.size());
   for (const auto& env : taken) drained.push_back(env.task);
-  (void)exert_all(drained, accessor_, txn, pool_);
+  exert_all(drained, accessor_, txn);
   for (const auto& env : taken) space_.complete(env.id);
 
   // Makespan model: greedily assign task latencies to the earliest-free

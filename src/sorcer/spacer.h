@@ -1,8 +1,7 @@
 #pragma once
 // Spacer — the PULL rendezvous peer. Writes a job's tasks into the exertion
 // space, takes every envelope back out, and dispatches the drained batch
-// through the scatter-gather pipeline: in-process the pool's threads play
-// the worker crew; under wire transport the batch overlaps on the fabric.
+// through the scatter-gather pipeline, where it overlaps on the fabric.
 //
 // Latency model: tasks are assigned greedily (in take order) to the
 // earliest-free of `workers_` crew slots; the job pays the resulting
@@ -13,16 +12,14 @@
 #include "sorcer/accessor.h"
 #include "sorcer/provider.h"
 #include "sorcer/space.h"
-#include "util/thread_pool.h"
 
 namespace sensorcer::sorcer {
 
 class Spacer : public ServiceProvider {
  public:
-  /// `workers` is the crew size used by both the real execution (when a
-  /// pool is supplied) and the makespan model.
+  /// `workers` is the crew size of the makespan model.
   Spacer(std::string name, ServiceAccessor& accessor, ExertSpace& space,
-         std::size_t workers, util::ThreadPool* pool = nullptr);
+         std::size_t workers);
 
   util::Result<ExertionPtr> service(ExertionPtr exertion,
                                     registry::Transaction* txn) override;
@@ -39,7 +36,6 @@ class Spacer : public ServiceProvider {
   ServiceAccessor& accessor_;
   ExertSpace& space_;
   std::size_t workers_;
-  util::ThreadPool* pool_;
 };
 
 }  // namespace sensorcer::sorcer

@@ -1,7 +1,6 @@
 #pragma once
 // Fixed-size worker pool used where the framework exploits real parallelism:
-// the Jobber's PARALLEL control-strategy fans a job's tasks across workers,
-// and Spacer workers pull exertions from the exertion space concurrently.
+// the historian's read executor serves queries off the caller's thread.
 
 #include <condition_variable>
 #include <cstddef>
@@ -43,11 +42,6 @@ class ThreadPool {
   void wait_idle();
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
-
-  /// True on one of this pool's workers. A worker that submits to its own
-  /// pool and blocks on the futures deadlocks once every worker does so
-  /// (nested fan-outs); such callers run the work inline instead.
-  [[nodiscard]] bool on_worker_thread() const;
 
  private:
   void worker_loop();

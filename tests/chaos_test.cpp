@@ -219,9 +219,6 @@ TEST(ChaosOrchestratorTest, RefusesDeploymentWithoutCybernodes) {
 TEST(ChaosRun, HundredProviderFleetConvergesWithInvariantsIntact) {
   core::DeploymentConfig dconfig;
   dconfig.cybernodes = 12;
-  // Wire transport: partitions and dead endpoints are detected by the
-  // fabric itself, which is what makes the fencing path real.
-  dconfig.invoke.transport = sorcer::Transport::kWire;
   dconfig.seed = 7;
   core::Deployment lab(dconfig);
 

@@ -318,7 +318,6 @@ TEST(Placement, RelayScorerAvoidsEdgeLabeledNodes) {
 
 TEST(FlowDeployment, CentralFlowStreamsFramesOverTheWire) {
   core::DeploymentConfig config;
-  config.invoke.transport = sorcer::Transport::kWire;
   core::Deployment lab(config);
   auto esp = lab.add_temperature_sensor("Pine-Sensor", 22.0);
   lab.pump(kSecond);
@@ -353,7 +352,6 @@ TEST(FlowDeployment, CentralFlowStreamsFramesOverTheWire) {
 
 TEST(FlowDeployment, AutoPlacementFusesSelectiveFlowAtTheEdge) {
   core::DeploymentConfig config;
-  config.invoke.transport = sorcer::Transport::kWire;
   core::Deployment lab(config);
   lab.add_temperature_sensor("Oak-Sensor", 22.0);
   lab.pump(kSecond);
@@ -385,7 +383,6 @@ TEST(FlowDeployment, AutoPlacementFusesSelectiveFlowAtTheEdge) {
 
 TEST(FlowDeployment, RelayFailoverLosesNothingAndDuplicatesNothing) {
   core::DeploymentConfig config;
-  config.invoke.transport = sorcer::Transport::kWire;
   config.with_historian = true;
   core::Deployment lab(config);
   auto esp = lab.add_temperature_sensor("Elm-Sensor", 22.0);

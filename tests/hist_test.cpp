@@ -828,7 +828,6 @@ struct RecordingSink {
 
 TEST(FeederHub, FailedChunkRequeuesOnlyItsSensorsAtTheFront) {
   core::DeploymentConfig config;
-  config.invoke.transport = sorcer::Transport::kWire;
   config.sampling.sample_period = 0;
   config.with_historian = false;
   core::Deployment lab(config);
@@ -886,7 +885,6 @@ TEST(FeederHub, InPhaseFleetIsStoredWithinOneFlushPeriod) {
   // of a wire pump and starve past a nesting cap; the hub sends one
   // multi-series flush per sampling instant instead.
   core::DeploymentConfig config;
-  config.invoke.transport = sorcer::Transport::kWire;
   config.with_flow = false;
   core::Deployment lab(config);
   constexpr int kSensors = 64;
@@ -1000,7 +998,6 @@ TEST(HistorianDeployment, DashboardFanOutServesQueriesOffTheReadExecutor) {
 
 TEST(HistorianDeployment, WireModeIngestionIsByteAccounted) {
   core::DeploymentConfig config;
-  config.invoke.transport = sorcer::Transport::kWire;
   config.history_feed.flush_period = 2 * kSecond;
   core::Deployment lab(config);
   lab.add_temperature_sensor("Moss-Sensor", 19.0);
@@ -1028,7 +1025,6 @@ TEST(HistorianDeployment, WireModeIngestionIsByteAccounted) {
 TEST(HistorianDeployment, PipelinedFlushOverlapsAppendBatchCalls) {
   core::DeploymentConfig config;
   config.sampling.sample_period = 0;  // quiet fabric: we drive the feeder
-  config.invoke.transport = sorcer::Transport::kWire;
   config.history_feed.flush_period = 0;
   config.history_feed.max_batch = 16;
   core::Deployment lab(config);

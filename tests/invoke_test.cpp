@@ -1,7 +1,7 @@
-// Tests for the unified invocation pipeline (sorcer/invoke): wire-backed
+// Tests for the invocation pipeline (sorcer/invoke): wire-backed
 // request/response dispatch, deadlines under loss and partitions, retry
-// with exclusion (service substitution over the fabric), the in-process
-// escape hatch, liveness pings, and endpoint lifecycle.
+// with exclusion (service substitution over the fabric), killed providers,
+// liveness pings, and endpoint lifecycle.
 
 #include <gtest/gtest.h>
 
@@ -22,10 +22,9 @@ namespace {
 using util::kMillisecond;
 using util::kSecond;
 
-DeploymentConfig wire_config() {
+DeploymentConfig quiet_config() {
   DeploymentConfig config;
   config.sampling.sample_period = 0;  // keep the fabric quiet for assertions
-  config.invoke.transport = sorcer::Transport::kWire;
   return config;
 }
 
@@ -43,7 +42,7 @@ std::uint64_t counter(const std::string& name) {
 // --- wire transport ----------------------------------------------------------
 
 TEST(WireInvokeTest, TaskCrossesTheFabricAsRequestAndResponse) {
-  Deployment lab(wire_config());
+  Deployment lab(quiet_config());
   lab.add_temperature_sensor("Neem-Sensor", 21.5);
   lab.network().reset_stats();
   const auto wire_before = counter("invoke.wire_calls");
@@ -67,7 +66,7 @@ TEST(WireInvokeTest, TaskCrossesTheFabricAsRequestAndResponse) {
 }
 
 TEST(WireInvokeTest, JobberChildDispatchesAlsoCrossTheFabric) {
-  Deployment lab(wire_config());
+  Deployment lab(quiet_config());
   lab.add_temperature_sensor("Jade-Sensor", 22.4);
   lab.add_temperature_sensor("Coral-Sensor", 23.1);
   lab.network().reset_stats();
@@ -94,7 +93,7 @@ TEST(WireInvokeTest, JobberChildDispatchesAlsoCrossTheFabric) {
 }
 
 TEST(WireInvokeTest, FacadeReadRunsOverTheWire) {
-  Deployment lab(wire_config());
+  Deployment lab(quiet_config());
   lab.add_temperature_sensor("Diamond-Sensor", 20.8);
   lab.network().reset_stats();
 
@@ -110,7 +109,7 @@ TEST(WireInvokeTest, FacadeReadRunsOverTheWire) {
 // --- failure semantics -------------------------------------------------------
 
 TEST(WireInvokeTest, TotalLossExpiresTheDeadlineWithTimeout) {
-  DeploymentConfig config = wire_config();
+  DeploymentConfig config = quiet_config();
   config.invoke.call_timeout = 50 * kMillisecond;
   Deployment lab(config);
   lab.add_temperature_sensor("Lonely-Sensor");
@@ -134,7 +133,7 @@ TEST(WireInvokeTest, TotalLossExpiresTheDeadlineWithTimeout) {
 }
 
 TEST(WireInvokeTest, IdleWindowsFastForwardToTheDeadline) {
-  DeploymentConfig config = wire_config();
+  DeploymentConfig config = quiet_config();
   config.invoke.call_timeout = 50 * kMillisecond;
   Deployment lab(config);
   lab.add_temperature_sensor("Quiet-Sensor");
@@ -155,7 +154,7 @@ TEST(WireInvokeTest, IdleWindowsFastForwardToTheDeadline) {
 }
 
 TEST(WireInvokeTest, PartitionTimesOutThenSubstitutesAnotherProvider) {
-  DeploymentConfig config = wire_config();
+  DeploymentConfig config = quiet_config();
   config.invoke.call_timeout = 20 * kMillisecond;
   Deployment lab(config);
   auto esp_a = lab.add_temperature_sensor("Sensor-A", 20.0);
@@ -190,7 +189,7 @@ TEST(WireInvokeTest, PartitionTimesOutThenSubstitutesAnotherProvider) {
 }
 
 TEST(WireInvokeTest, LateResponsesAreDroppedNotMisdelivered) {
-  DeploymentConfig config = wire_config();
+  DeploymentConfig config = quiet_config();
   // Shorter than the round trip: one-way latency alone eats the budget.
   config.network_latency = 5 * kMillisecond;
   config.invoke.call_timeout = 6 * kMillisecond;
@@ -211,7 +210,7 @@ TEST(WireInvokeTest, LateResponsesAreDroppedNotMisdelivered) {
 // --- scatter-gather ----------------------------------------------------------
 
 TEST(ScatterGatherTest, ParallelPushOverlapsRoundTripsOnTheFabric) {
-  Deployment lab(wire_config());
+  Deployment lab(quiet_config());
   for (int i = 0; i < 8; ++i) {
     lab.add_temperature_sensor("SG-" + std::to_string(i), 20.0 + i);
   }
@@ -248,7 +247,7 @@ TEST(ScatterGatherTest, NestedDispatchPumpsTheSchedulerRecursively) {
   // pumps the scheduler from a nested frame on the same stack. The guard
   // must accept this — it is the event loop recursing in time order — and
   // the nested batch must still gather correctly.
-  Deployment lab(wire_config());
+  Deployment lab(quiet_config());
   lab.add_temperature_sensor("Leaf-A", 10.0);
   lab.add_temperature_sensor("Leaf-B", 30.0);
   auto csp = lab.facade().create_local_service("Nested-Composite");
@@ -267,7 +266,7 @@ TEST(ScatterGatherTest, NestedDispatchPumpsTheSchedulerRecursively) {
 }
 
 TEST(ScatterGatherTest, SlowChildSubstitutesWhileSiblingsComplete) {
-  DeploymentConfig config = wire_config();
+  DeploymentConfig config = quiet_config();
   config.invoke.call_timeout = 20 * kMillisecond;
   Deployment lab(config);
   for (const char* name : {"Mix-A", "Mix-B", "Mix-C"}) {
@@ -312,7 +311,7 @@ TEST(ScatterGatherTest, SlowChildSubstitutesWhileSiblingsComplete) {
 }
 
 TEST(ScatterGatherTest, EachTimedOutCallDropsItsOwnLateResponse) {
-  DeploymentConfig config = wire_config();
+  DeploymentConfig config = quiet_config();
   // Shorter than the round trip: every call times out, every response is a
   // straggler.
   config.network_latency = 5 * kMillisecond;
@@ -345,7 +344,7 @@ TEST(ScatterGatherTest, EachTimedOutCallDropsItsOwnLateResponse) {
 }
 
 TEST(ScatterGatherTest, FacadeMultiReadGathersOneBatch) {
-  Deployment lab(wire_config());
+  Deployment lab(quiet_config());
   lab.add_temperature_sensor("Page-A", 20.0);
   lab.add_temperature_sensor("Page-B", 21.0);
   lab.add_temperature_sensor("Page-C", 22.0);
@@ -359,53 +358,40 @@ TEST(ScatterGatherTest, FacadeMultiReadGathersOneBatch) {
   EXPECT_EQ(values[3].status().code(), util::ErrorCode::kNotFound);
 }
 
-// --- in-process escape hatch -------------------------------------------------
+// --- killed providers -------------------------------------------------------
 
-TEST(InProcessInvokeTest, DefaultTransportStaysOffTheFabric) {
-  DeploymentConfig config;
-  config.sampling.sample_period = 0;
-  Deployment lab(config);  // invoke.transport defaults to kInProcess
-  lab.add_temperature_sensor("Local-Sensor");
-  lab.network().reset_stats();
-  const auto inproc_before = counter("invoke.inprocess_calls");
-  const auto wire_before = counter("invoke.wire_calls");
+TEST(KilledProviderTest, KilledJobberServesNothing) {
+  Deployment lab(quiet_config());
+  lab.add_temperature_sensor("Kill-Sensor");
+  sorcer::Jobber* jobber = lab.jobber();
+  ASSERT_NE(jobber, nullptr);
+  // Kill it the way the chaos harness does: the process stops, its endpoint
+  // leaves the fabric, but its registration lingers until the lease lapses.
+  jobber->crash();
+  lab.network().detach(jobber->network_address());
+  const auto coordinated = jobber->jobs_coordinated();
 
-  auto task = read_task("Local-Sensor");
-  ASSERT_TRUE(sorcer::exert(task, lab.accessor()).is_ok());
-  EXPECT_EQ(task->status(), sorcer::ExertStatus::kDone);
-  EXPECT_GE(counter("invoke.inprocess_calls") - inproc_before, 1u);
-  EXPECT_EQ(counter("invoke.wire_calls") - wire_before, 0u);
-
-  // No messages scheduled through the requestor endpoint, but the modeled
-  // RPC bytes are still charged (account_rpc keeps accounting continuous).
-  EXPECT_EQ(lab.network().stats_for(lab.invoker().address()).messages_sent,
-            0u);
-  EXPECT_GT(lab.network().totals().payload_bytes_sent, 0u);
-}
-
-TEST(InProcessInvokeTest, PartitionsDoNotAffectInProcessCalls) {
-  DeploymentConfig config;
-  config.sampling.sample_period = 0;
-  Deployment lab(config);
-  auto esp = lab.add_temperature_sensor("Immune-Sensor");
-  lab.network().partition(lab.invoker().address(), esp->network_address());
-
-  auto task = read_task("Immune-Sensor");
-  EXPECT_TRUE(sorcer::exert(task, lab.accessor()).is_ok());
-  EXPECT_EQ(task->status(), sorcer::ExertStatus::kDone);
+  auto job = sorcer::Job::make(
+      "j", {sorcer::Flow::kParallel, sorcer::Access::kPush, true});
+  job->add(read_task("Kill-Sensor"));
+  job->add(read_task("Kill-Sensor"));
+  ASSERT_TRUE(sorcer::exert(job, lab.accessor()).is_ok());
+  EXPECT_EQ(job->status(), sorcer::ExertStatus::kFailed);
+  EXPECT_EQ(job->error().code(), util::ErrorCode::kUnavailable);
+  EXPECT_EQ(jobber->jobs_coordinated(), coordinated);
 }
 
 // --- pings -------------------------------------------------------------------
 
 TEST(PingTest, ReachableProviderPongsWithinDeadline) {
-  Deployment lab(wire_config());
+  Deployment lab(quiet_config());
   ASSERT_FALSE(lab.cybernodes().empty());
   const auto target = lab.cybernodes()[0]->network_address();
   EXPECT_TRUE(lab.invoker().ping(target, 10 * kMillisecond).is_ok());
 }
 
 TEST(PingTest, PartitionedProviderTimesOut) {
-  Deployment lab(wire_config());
+  Deployment lab(quiet_config());
   ASSERT_FALSE(lab.cybernodes().empty());
   const auto target = lab.cybernodes()[0]->network_address();
   lab.network().partition(lab.invoker().address(), target);
@@ -414,7 +400,7 @@ TEST(PingTest, PartitionedProviderTimesOut) {
 }
 
 TEST(PingTest, DetachedAddressFailsFast) {
-  Deployment lab(wire_config());
+  Deployment lab(quiet_config());
   EXPECT_EQ(lab.invoker().ping(util::new_uuid(), 10 * kMillisecond).code(),
             util::ErrorCode::kNotFound);
 }
@@ -536,7 +522,7 @@ TEST(CodecTest, AppendBatchReplyOmitsTheReadingsTheRequestorHolds) {
 }
 
 TEST(WireInvokeTest, ProviderOutputsArriveThroughOutputOnlyReplies) {
-  Deployment lab(wire_config());
+  Deployment lab(quiet_config());
   lab.add_temperature_sensor("Echo-Sensor", 21.0);
   ASSERT_NE(lab.historian(), nullptr);
   std::vector<sensor::Reading> readings;
@@ -717,7 +703,7 @@ TEST(CodecTest, DecodeReusesSeriesCapacityInPlace) {
 }
 
 TEST(CodecTest, WirePathWarmsInternTablesAcrossCalls) {
-  Deployment lab(wire_config());
+  Deployment lab(quiet_config());
   lab.add_temperature_sensor("Warm-Sensor", 21.0);
 
   auto first = read_task("Warm-Sensor");
@@ -735,10 +721,12 @@ TEST(CodecTest, WirePathWarmsInternTablesAcrossCalls) {
       lab.network().stats_for(lab.invoker().address()).payload_bytes_sent;
 
   // Steady-state calls ship interned ids only — no larger than the warmed
-  // second call, and both strictly smaller than a cold legacy envelope.
+  // second call, and strictly smaller than the same context in the legacy
+  // string envelope.
+  sorcer::WireBuffer legacy;
+  sorcer::encode_context_legacy(first->context(), legacy);
   EXPECT_LE(steady_sent, warm_sent);
-  EXPECT_LT(steady_sent,
-            first->context().wire_bytes() + sorcer::wire::kRequestEnvelopeBytes);
+  EXPECT_LT(steady_sent, legacy.size() + sorcer::wire::kRequestEnvelopeBytes);
 }
 
 TEST(CodecTest, BufferPoolRecyclesAcrossRoundTrips) {

@@ -163,6 +163,25 @@ TEST(ObsExport, SnapshotIsDeterministic) {
   EXPECT_EQ(obs::to_json_line(a.snapshot(99)), obs::to_json_line(a.snapshot(99)));
 }
 
+TEST(ObsExport, WallClockInstrumentsStayOutOfDeterministicSnapshots) {
+  obs::Registry reg;
+  reg.counter("work.items").add(4);
+  reg.counter("work.cpu_ns", obs::Clock::kWall).add(1234);
+  reg.histogram("work.wait_us", {}, obs::Clock::kWall).observe(5.0);
+  // The declaration sticks: a later lookup without a clock finds the same
+  // wall-clock instrument.
+  reg.counter("work.cpu_ns").add(1);
+
+  const obs::Snapshot full = reg.snapshot(0);
+  EXPECT_EQ(full.counter_or("work.cpu_ns"), 1235u);
+  EXPECT_NE(full.histogram("work.wait_us"), nullptr);
+
+  const obs::Snapshot det = reg.snapshot(0, /*with_wall_clock=*/false);
+  EXPECT_EQ(det.counter_or("work.items"), 4u);
+  EXPECT_EQ(det.counter_or("work.cpu_ns", 99), 99u);  // absent
+  EXPECT_EQ(det.histogram("work.wait_us"), nullptr);
+}
+
 TEST(ObsExport, SnapshotMergeSumsSameNames) {
   obs::Registry a;
   a.counter("n").add(2);

@@ -8,7 +8,9 @@
 
 #include "registry/lease_renewal.h"
 #include "rio/monitor.h"
+#include "simnet/network.h"
 #include "sorcer/exert.h"
+#include "sorcer/invoke.h"
 
 namespace sensorcer::rio {
 namespace {
@@ -19,9 +21,12 @@ using util::kSecond;
 
 TEST(Qos, SatisfiesChecksComputeAndMemory) {
   QosCapability platform{4.0, 1024.0, "x86_64", {}};
-  EXPECT_TRUE(satisfies(platform, 4.0, 1024.0, QosRequirement{1.0, 256.0}));
-  EXPECT_FALSE(satisfies(platform, 0.5, 1024.0, QosRequirement{1.0, 256.0}));
-  EXPECT_FALSE(satisfies(platform, 4.0, 128.0, QosRequirement{1.0, 256.0}));
+  EXPECT_TRUE(
+      satisfies(platform, 4.0, 1024.0, QosRequirement{1.0, 256.0, "", {}}));
+  EXPECT_FALSE(
+      satisfies(platform, 0.5, 1024.0, QosRequirement{1.0, 256.0, "", {}}));
+  EXPECT_FALSE(
+      satisfies(platform, 4.0, 128.0, QosRequirement{1.0, 256.0, "", {}}));
 }
 
 TEST(Qos, ArchMustMatchWhenSpecified) {
@@ -63,7 +68,7 @@ std::shared_ptr<sorcer::Tasker> make_service(const std::string& name) {
 
 TEST(CybernodeTest, HostsUntilCapacity) {
   Cybernode node("n1", QosCapability{2.0, 1024.0, "x86_64", {}});
-  QosRequirement one{1.0, 100.0};
+  QosRequirement one{1.0, 100.0, "", {}};
   EXPECT_TRUE(node.can_host(one));
   ASSERT_TRUE(node.host(make_service("a"), one).is_ok());
   ASSERT_TRUE(node.host(make_service("b"), one).is_ok());
@@ -75,18 +80,18 @@ TEST(CybernodeTest, HostsUntilCapacity) {
 
 TEST(CybernodeTest, MemoryAlsoLimits) {
   Cybernode node("n1", QosCapability{100.0, 256.0, "x86_64", {}});
-  ASSERT_TRUE(node.host(make_service("a"), {0.1, 200.0}).is_ok());
-  EXPECT_EQ(node.host(make_service("b"), {0.1, 100.0}).code(),
+  ASSERT_TRUE(node.host(make_service("a"), {0.1, 200.0, "", {}}).is_ok());
+  EXPECT_EQ(node.host(make_service("b"), {0.1, 100.0, "", {}}).code(),
             util::ErrorCode::kCapacity);
 }
 
 TEST(CybernodeTest, EvictFreesCapacity) {
   Cybernode node("n1", QosCapability{1.0, 100.0, "x86_64", {}});
   auto svc = make_service("a");
-  ASSERT_TRUE(node.host(svc, {1.0, 50.0}).is_ok());
-  EXPECT_FALSE(node.can_host({1.0, 50.0}));
+  ASSERT_TRUE(node.host(svc, {1.0, 50.0, "", {}}).is_ok());
+  EXPECT_FALSE(node.can_host({1.0, 50.0, "", {}}));
   ASSERT_TRUE(node.evict(svc->service_id()).is_ok());
-  EXPECT_TRUE(node.can_host({1.0, 50.0}));
+  EXPECT_TRUE(node.can_host({1.0, 50.0, "", {}}));
   EXPECT_EQ(node.evict(svc->service_id()).code(), util::ErrorCode::kNotFound);
 }
 
@@ -98,7 +103,7 @@ TEST(CybernodeTest, FailCrashesHostedServices) {
   Cybernode node("n1", QosCapability{4.0, 1024.0, "x86_64", {}});
   auto svc = make_service("a");
   ASSERT_TRUE(svc->join(lus, lrm, 2 * kSecond).is_ok());
-  ASSERT_TRUE(node.host(svc, {1.0, 64.0}).is_ok());
+  ASSERT_TRUE(node.host(svc, {1.0, 64.0, "", {}}).is_ok());
 
   node.fail();
   EXPECT_FALSE(node.is_alive());
@@ -112,11 +117,11 @@ TEST(CybernodeTest, FailCrashesHostedServices) {
 TEST(CybernodeTest, HostOnDeadNodeFails) {
   Cybernode node("n1", QosCapability{4.0, 1024.0, "x86_64", {}});
   node.fail();
-  EXPECT_EQ(node.host(make_service("a"), {1.0, 64.0}).code(),
+  EXPECT_EQ(node.host(make_service("a"), {1.0, 64.0, "", {}}).code(),
             util::ErrorCode::kUnavailable);
   node.restart();
   EXPECT_TRUE(node.is_alive());
-  EXPECT_TRUE(node.host(make_service("a"), {1.0, 64.0}).is_ok());
+  EXPECT_TRUE(node.host(make_service("a"), {1.0, 64.0, "", {}}).is_ok());
 }
 
 // --- ProvisionMonitor ------------------------------------------------------------------
@@ -126,9 +131,11 @@ class MonitorTest : public ::testing::Test {
   MonitorTest() {
     lus = std::make_shared<registry::LookupService>("lus", sched);
     accessor.add_lookup(lus);
+    accessor.set_invoker(&invoker);
     for (int i = 0; i < 3; ++i) {
       auto node = std::make_shared<Cybernode>(
           "node-" + std::to_string(i), QosCapability{2.0, 1024.0, "x86_64", {}});
+      node->attach_network(net);
       (void)node->join(lus, lrm, 3600 * kSecond);
       nodes.push_back(std::move(node));
     }
@@ -138,10 +145,11 @@ class MonitorTest : public ::testing::Test {
     config.activation_cost = 100 * util::kMillisecond;
     monitor = std::make_shared<ProvisionMonitor>("Monitor", accessor, lrm,
                                                  sched, config);
+    monitor->attach_network(net);
   }
 
   OperationalString opstring(const std::string& name, std::size_t planned,
-                             QosRequirement qos = {0.5, 64.0}) {
+                             QosRequirement qos = {0.5, 64.0, "", {}}) {
     OperationalString os;
     os.name = name;
     ServiceElement element;
@@ -163,6 +171,10 @@ class MonitorTest : public ::testing::Test {
   }
 
   util::Scheduler sched;
+  // Declared before everything attached to it: endpoints detach on
+  // destruction, so the fabric must outlive them.
+  simnet::Network net{sched};
+  sorcer::RemoteInvoker invoker{net};
   registry::LeaseRenewalManager lrm{sched};
   std::shared_ptr<registry::LookupService> lus;
   sorcer::ServiceAccessor accessor;
@@ -188,7 +200,7 @@ TEST_F(MonitorTest, ReplicasGetNumberedNames) {
 }
 
 TEST_F(MonitorTest, LoadBalancesAcrossNodes) {
-  ASSERT_TRUE(monitor->deploy(opstring("svc", 3, {1.0, 64.0})).is_ok());
+  ASSERT_TRUE(monitor->deploy(opstring("svc", 3, {1.0, 64.0, "", {}})).is_ok());
   // Three 1.0-unit services over three 2.0-unit nodes: one each.
   for (const auto& node : nodes) {
     EXPECT_EQ(node->hosted_count(), 1u) << node->provider_name();
@@ -205,7 +217,7 @@ TEST_F(MonitorTest, QosFiltersNodes) {
 
 TEST_F(MonitorTest, CapacityExhaustionReportsError) {
   // 3 nodes x 2.0 units = 6 units; ask for 7 services of 1.0.
-  auto status = monitor->deploy(opstring("svc", 7, {1.0, 16.0}));
+  auto status = monitor->deploy(opstring("svc", 7, {1.0, 16.0, "", {}}));
   EXPECT_EQ(status.code(), util::ErrorCode::kCapacity);
   EXPECT_EQ(monitor->provision_count(), 6u);
 }
@@ -360,7 +372,7 @@ class MonitorCascadeTest : public MonitorTest {
   /// Deploy a single-instance opstring whose factory records every
   /// instantiation (initial placements and replacements alike).
   void deploy_recording(const std::string& name,
-                        QosRequirement qos = {0.5, 64.0}) {
+                        QosRequirement qos = {0.5, 64.0, "", {}}) {
     OperationalString os;
     os.name = name;
     ServiceElement element;
@@ -498,7 +510,7 @@ TEST_F(MonitorCascadeTest, UndeployRacingInFlightReprovisionAborts) {
   ServiceElement element;
   element.name = "victim";
   element.planned = 1;
-  element.qos = QosRequirement{0.5, 64.0};
+  element.qos = QosRequirement{0.5, 64.0, "", {}};
   bool first = true;
   element.factory = [this, &first](const std::string& instance_name) {
     if (!first) (void)monitor->undeploy("victim");
@@ -536,7 +548,7 @@ TEST_F(MonitorCascadeTest, ReentrantPollIsBarred) {
   ServiceElement element;
   element.name = "svc";
   element.planned = 1;
-  element.qos = QosRequirement{0.5, 64.0};
+  element.qos = QosRequirement{0.5, 64.0, "", {}};
   element.factory = [this](const std::string& instance_name) {
     monitor->poll_once();  // nested sweep: must be a no-op
     return make_service(instance_name);
@@ -581,7 +593,7 @@ TEST_P(PlacementPropertyTest, UtilizationNeverExceedsOne) {
   ServiceElement element;
   element.name = "s";
   element.planned = services;
-  element.qos = QosRequirement{0.5, 32.0};
+  element.qos = QosRequirement{0.5, 32.0, "", {}};
   element.factory = [](const std::string& n) { return make_service(n); };
   os.elements.push_back(std::move(element));
   (void)monitor.deploy(std::move(os));

@@ -308,7 +308,8 @@ TEST(DataLog, ClearAfterPartialGrowthMatchesOracle) {
   util::SimTime t = 0;
   const auto append = [&](int n) {
     for (int i = 0; i < n; ++i) {
-      const Reading r = make_reading(++t, static_cast<double>(t) * 0.5);
+      ++t;
+      const Reading r = make_reading(t, static_cast<double>(t) * 0.5);
       log.append(r);
       oracle.push_back(r);
       if (oracle.size() > 8) oracle.pop_front();

@@ -254,7 +254,9 @@ TEST_P(BatchingTest, BytesPerReadingShrinkWithBatchSize) {
   const double single =
       static_cast<double>(wire_bytes(Protocol::kUdp, reading));
   EXPECT_LE(batched, single);
-  if (batch >= 8) EXPECT_LT(batched, single / 2);
+  if (batch >= 8) {
+    EXPECT_LT(batched, single / 2);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Batches, BatchingTest,

@@ -1,15 +1,20 @@
 // Unit tests for the SORCER substrate: service contexts, providers and task
 // execution, the service accessor, exert() routing, Jobber flows, the
-// exertion space and the Spacer's pull strategy.
+// exertion space and the Spacer's pull strategy. Every federation runs on a
+// simulated fabric: providers are attached to a simnet::Network and every
+// dispatch crosses it through a RemoteInvoker.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 
 #include "obs/metrics.h"
+#include "simnet/network.h"
 #include "sorcer/exert.h"
+#include "sorcer/invoke.h"
 #include "sorcer/jobber.h"
 #include "sorcer/spacer.h"
+#include "util/thread_pool.h"
 
 namespace sensorcer::sorcer {
 namespace {
@@ -84,39 +89,6 @@ TEST(Context, MergeOtherWins) {
   EXPECT_DOUBLE_EQ(a.get_double("z").value(), 30.0);
 }
 
-TEST(Context, WireBytesGrowWithContent) {
-  ServiceContext ctx;
-  const std::size_t empty = ctx.wire_bytes();
-  ctx.put("sensor/log", std::vector<double>(100, 1.0));
-  EXPECT_GE(ctx.wire_bytes(), empty + 800);
-}
-
-TEST(Context, WireBytesCacheInvalidatedByEveryMutation) {
-  // wire_bytes() is cached behind a dirty flag; put / remove / merge must
-  // each invalidate it or traffic accounting silently goes stale.
-  ServiceContext ctx;
-  ctx.put("a", 1.0);
-  const std::size_t with_a = ctx.wire_bytes();
-  EXPECT_EQ(ctx.wire_bytes(), with_a);  // repeated reads: cached, stable
-
-  ctx.put("b", std::vector<double>(10, 0.0));
-  const std::size_t with_ab = ctx.wire_bytes();
-  EXPECT_GT(with_ab, with_a);
-
-  // Overwriting an existing path with a differently-sized value must also
-  // invalidate (same path, new size).
-  ctx.put("b", std::vector<double>(20, 0.0));
-  EXPECT_GT(ctx.wire_bytes(), with_ab);
-
-  EXPECT_TRUE(ctx.remove("b"));
-  EXPECT_EQ(ctx.wire_bytes(), with_a);
-
-  ServiceContext other;
-  other.put("c", std::string("hello"));
-  ctx.merge(other);
-  EXPECT_GT(ctx.wire_bytes(), with_a);
-}
-
 TEST(Context, FindAndPeekAccessors) {
   ServiceContext ctx;
   ctx.put("s", std::string("text"));
@@ -175,6 +147,7 @@ class FederationTest : public ::testing::Test {
   FederationTest() {
     lus = std::make_shared<LookupService>("lus", sched);
     accessor.add_lookup(lus);
+    accessor.set_invoker(&invoker);
 
     adder = std::make_shared<Tasker>("Adder");
     adder->add_operation(
@@ -189,14 +162,19 @@ class FederationTest : public ::testing::Test {
           return util::Status::ok();
         },
         5 * kMillisecond);
+    adder->attach_network(net);
     (void)adder->join(lus, lrm, 60 * kSecond);
 
     failer = std::make_shared<Tasker>("Failer");
     failer->add_operation("boom", [](ServiceContext&) -> util::Status {
       return {util::ErrorCode::kInternal, "kaboom"};
     });
+    failer->attach_network(net);
     (void)failer->join(lus, lrm, 60 * kSecond);
   }
+
+  /// One request/response round trip on the fabric.
+  util::SimDuration round_trip() const { return 2 * net.latency(); }
 
   std::shared_ptr<Task> add_task(double a, double b,
                                  const std::string& provider = "") {
@@ -207,6 +185,10 @@ class FederationTest : public ::testing::Test {
   }
 
   util::Scheduler sched;
+  // Declared before everything attached to it: endpoints detach on
+  // destruction, so the fabric must outlive them.
+  simnet::Network net{sched};
+  RemoteInvoker invoker{net};
   registry::LeaseRenewalManager lrm{sched};
   std::shared_ptr<LookupService> lus;
   ServiceAccessor accessor;
@@ -223,7 +205,7 @@ TEST_F(FederationTest, TaskExecutesAndFillsContext) {
   EXPECT_EQ(task->status(), ExertStatus::kDone);
   EXPECT_DOUBLE_EQ(task->context().get_double("result/sum").value(), 5.0);
   EXPECT_EQ(task->trace(), (std::vector<std::string>{"Adder"}));
-  EXPECT_EQ(task->latency(), 5 * kMillisecond);
+  EXPECT_EQ(task->latency(), 5 * kMillisecond + round_trip());
   EXPECT_EQ(adder->invocation_count(), 1u);
 }
 
@@ -266,6 +248,44 @@ TEST_F(FederationTest, OperationErrorPropagates) {
 
 TEST_F(FederationTest, ExertNullIsError) {
   EXPECT_FALSE(exert(nullptr, accessor).is_ok());
+}
+
+TEST_F(FederationTest, DetachedProviderIsUnavailable) {
+  // A provider with no live endpoint on the fabric serves nothing, even
+  // while its registration lingers in the lookup service.
+  net.detach(adder->network_address());
+  auto task = add_task(2, 3, "Adder");
+  ASSERT_TRUE(exert(task, accessor).is_ok());
+  EXPECT_EQ(task->status(), ExertStatus::kFailed);
+  EXPECT_EQ(task->error().code(), util::ErrorCode::kUnavailable);
+  EXPECT_EQ(adder->invocation_count(), 0u);
+}
+
+TEST_F(FederationTest, AccessorWithoutInvokerCannotDispatch) {
+  // Every dispatch entry point refuses an accessor with no invoker wired.
+  ServiceAccessor bare;
+  bare.add_lookup(lus);
+  const auto precondition = util::ErrorCode::kFailedPrecondition;
+
+  auto task = add_task(1, 1);
+  auto exerted = exert(task, bare);
+  EXPECT_EQ(exerted.status().code(), precondition);
+  EXPECT_EQ(task->error().code(), precondition);
+
+  auto batched = add_task(1, 1);
+  exert_all({batched}, bare);
+  EXPECT_EQ(batched->error().code(), precondition);
+
+  auto direct = add_task(1, 1);
+  EXPECT_EQ(invoke_servicer(bare, adder, direct, nullptr).status().code(),
+            precondition);
+  EXPECT_EQ(direct->error().code(), precondition);
+
+  auto direct_batched = add_task(1, 1);
+  invoke_servicer_all(bare, {{adder, direct_batched}});
+  EXPECT_EQ(direct_batched->error().code(), precondition);
+
+  EXPECT_EQ(adder->invocation_count(), 0u);
 }
 
 TEST_F(FederationTest, ServiceItemExportsTypesAndName) {
@@ -332,7 +352,8 @@ TEST_F(FederationTest, CrashLeavesStaleEntryUntilLeaseExpiry) {
 class JobberTest : public FederationTest {
  protected:
   JobberTest() {
-    jobber = std::make_shared<Jobber>("Jobber", accessor, nullptr);
+    jobber = std::make_shared<Jobber>("Jobber", accessor);
+    jobber->attach_network(net);
     (void)jobber->join(lus, lrm, 60 * kSecond);
   }
   std::shared_ptr<Jobber> jobber;
@@ -429,9 +450,7 @@ TEST_F(JobberTest, EmptyJobSucceedsTrivially) {
   EXPECT_EQ(job->status(), ExertStatus::kDone);
 }
 
-TEST_F(JobberTest, ParallelWithRealPoolMatchesInline) {
-  util::ThreadPool pool(4);
-  auto threaded = std::make_shared<Jobber>("Jobber2", accessor, &pool);
+TEST_F(JobberTest, SixteenChildParallelJobOverlapsOnTheFabric) {
   auto job = Job::make("j", {Flow::kParallel, Access::kPush, true});
   std::vector<std::shared_ptr<Task>> tasks;
   for (int i = 0; i < 16; ++i) {
@@ -439,12 +458,18 @@ TEST_F(JobberTest, ParallelWithRealPoolMatchesInline) {
     tasks.push_back(t);
     job->add(t);
   }
-  (void)threaded->service(job, nullptr);
+  (void)exert(job, accessor);
   EXPECT_EQ(job->status(), ExertStatus::kDone);
   for (int i = 0; i < 16; ++i) {
     EXPECT_DOUBLE_EQ(tasks[i]->context().get_double("result/sum").value(),
                      3.0 * i);
   }
+  EXPECT_EQ(adder->invocation_count(), 16u);
+  // All sixteen round trips overlap: the job costs one child (service time
+  // plus its round trip), one batch-dispatch overhead and the job's own
+  // round trip to the Jobber.
+  EXPECT_EQ(job->latency(), 5 * kMillisecond + round_trip() +
+                                Jobber::kDispatchOverhead + round_trip());
 }
 
 // --- ExertSpace -----------------------------------------------------------------------
@@ -511,7 +536,8 @@ TEST(ExertSpaceTest, ConcurrentTakesAreExclusive) {
 class SpacerTest : public FederationTest {
  protected:
   SpacerTest() {
-    spacer = std::make_shared<Spacer>("Spacer", accessor, space, 4, nullptr);
+    spacer = std::make_shared<Spacer>("Spacer", accessor, space, 4);
+    spacer->attach_network(net);
     (void)spacer->join(lus, lrm, 60 * kSecond);
   }
   ExertSpace space;
@@ -540,7 +566,7 @@ TEST_F(SpacerTest, MakespanBetweenMaxAndSum) {
 }
 
 TEST_F(SpacerTest, SingleWorkerDegradesToSequential) {
-  auto solo = std::make_shared<Spacer>("Solo", accessor, space, 1, nullptr);
+  auto solo = std::make_shared<Spacer>("Solo", accessor, space, 1);
   auto job = Job::make("j", {Flow::kParallel, Access::kPull, true});
   for (int i = 0; i < 4; ++i) job->add(add_task(i, i));
   (void)solo->service(job, nullptr);
@@ -570,19 +596,23 @@ class WorkerScalingTest : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(WorkerScalingTest, MakespanMatchesGreedyModel) {
   const std::size_t workers = GetParam();
   util::Scheduler sched;
+  simnet::Network net(sched);
+  RemoteInvoker invoker(net);
   auto lus = std::make_shared<LookupService>("lus", sched);
   registry::LeaseRenewalManager lrm(sched);
   ServiceAccessor accessor;
   accessor.add_lookup(lus);
+  accessor.set_invoker(&invoker);
 
   auto tasker = std::make_shared<Tasker>("T");
   tasker->add_operation(
       "noop", [](ServiceContext&) { return util::Status::ok(); },
       10 * kMillisecond);
+  tasker->attach_network(net);
   (void)tasker->join(lus, lrm, 60 * kSecond);
 
   ExertSpace space;
-  Spacer spacer("S", accessor, space, workers, nullptr);
+  Spacer spacer("S", accessor, space, workers);
   auto job = Job::make("j", {Flow::kParallel, Access::kPull, true});
   constexpr std::size_t kTasks = 16;
   for (std::size_t i = 0; i < kTasks; ++i) {
@@ -591,7 +621,10 @@ TEST_P(WorkerScalingTest, MakespanMatchesGreedyModel) {
   (void)spacer.service(job, nullptr);
   EXPECT_EQ(job->status(), ExertStatus::kDone);
 
-  const auto per_task = 10 * kMillisecond + 2 * Spacer::kSpaceOpCost;
+  // Each task pays its service time, its round trip on the fabric and two
+  // space operations.
+  const auto per_task =
+      10 * kMillisecond + 2 * net.latency() + 2 * Spacer::kSpaceOpCost;
   const auto expected =
       static_cast<util::SimDuration>((kTasks + workers - 1) / workers) *
       per_task;
@@ -614,6 +647,7 @@ class SubstitutionTest : public ::testing::Test {
   SubstitutionTest() {
     lus = std::make_shared<registry::LookupService>("lus", sched);
     accessor.add_lookup(lus);
+    accessor.set_invoker(&invoker);
     // Two equivalent providers; "Alpha" sorts first so it is tried first.
     flaky = make_peer("Alpha", /*available=*/false);
     steady = make_peer("Bravo", /*available=*/true);
@@ -631,11 +665,14 @@ class SubstitutionTest : public ::testing::Test {
           return util::Status::ok();
         },
         util::kMillisecond);
+    peer->attach_network(net);
     (void)peer->join(lus, lrm, 3600 * util::kSecond);
     return peer;
   }
 
   util::Scheduler sched;
+  simnet::Network net{sched};
+  RemoteInvoker invoker{net};
   registry::LeaseRenewalManager lrm{sched};
   std::shared_ptr<registry::LookupService> lus;
   ServiceAccessor accessor;
@@ -667,6 +704,7 @@ TEST_F(SubstitutionTest, NonUnavailabilityErrorsAreNotRetried) {
   broken->add_operation("measure", [](ServiceContext&) -> util::Status {
     return {util::ErrorCode::kInternal, "bug"};
   });
+  broken->attach_network(net);
   (void)broken->join(lus, lrm, 3600 * util::kSecond);
   auto task = Task::make("t", Signature{type::kTasker, "measure", ""});
   (void)exert(task, accessor);
@@ -686,7 +724,8 @@ TEST_F(SubstitutionTest, AllEquivalentsDownFailsWithLastError) {
 }
 
 TEST_F(SubstitutionTest, SubstitutionWorksInsideJobs) {
-  auto jobber = std::make_shared<Jobber>("Jobber", accessor, nullptr);
+  auto jobber = std::make_shared<Jobber>("Jobber", accessor);
+  jobber->attach_network(net);
   (void)jobber->join(lus, lrm, 3600 * util::kSecond);
   auto job = Job::make("j", {Flow::kParallel, Access::kPush, true});
   auto t1 = Task::make("t1", Signature{type::kTasker, "measure", ""});
@@ -697,7 +736,8 @@ TEST_F(SubstitutionTest, SubstitutionWorksInsideJobs) {
 }
 
 TEST_F(SubstitutionTest, TaskAddressedToJobberTypeExecutesOnJobber) {
-  auto jobber = std::make_shared<Jobber>("Jobber", accessor, nullptr);
+  auto jobber = std::make_shared<Jobber>("Jobber", accessor);
+  jobber->attach_network(net);
   (void)jobber->join(lus, lrm, 3600 * util::kSecond);
   // No operations are installed on the jobber, so this must terminate with
   // NOT_FOUND rather than looping through the federation.

@@ -26,6 +26,7 @@ class WatchTest : public ::testing::Test {
                              sensor::SimulatedDevice{teds, model, 1}));
     watch = std::make_shared<ThresholdWatch>("Watch", lab.accessor(),
                                              lab.scheduler(), kSecond);
+    watch->attach_network(lab.network());
     for (const auto& lus : lab.lookups()) {
       (void)watch->join(lus, lab.lease_renewal(), 3600 * kSecond);
     }
