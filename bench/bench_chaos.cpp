@@ -8,12 +8,16 @@
 //   bench_chaos            full sweep: seeds x fleet sizes -> table
 //   bench_chaos smoke      one deterministic 100-provider run; exit 1 on
 //                          any violated invariant (the CI gate)
+//   bench_chaos sweep A B  every seed in [A, B] x 25/50/100 providers, one
+//                          line per cell; exit 1 on any violated invariant
+//                          (the wide CI gate)
 //
 // Wall-clock per cell is reported alongside the virtual-time results so the
 // simulation cost of the chaos harness itself is tracked over time.
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -71,10 +75,51 @@ int run_smoke() {
   return 0;
 }
 
+int run_seed_sweep(std::uint64_t first, std::uint64_t last) {
+  std::printf("=== CHAOS-1 sweep: seeds %llu-%llu x 25/50/100 providers, "
+              "60 s, 12 nodes ===\n",
+              static_cast<unsigned long long>(first),
+              static_cast<unsigned long long>(last));
+  std::size_t cells = 0;
+  std::size_t violated = 0;
+  double wall_ms = 0;
+  for (std::uint64_t seed = first; seed <= last; ++seed) {
+    for (std::size_t providers : {25u, 50u, 100u}) {
+      const auto cell =
+          run_cell(seed, providers, /*cybernodes=*/12, 60 * util::kSecond);
+      const auto& r = cell.report;
+      ++cells;
+      wall_ms += cell.wall_ms;
+      std::printf("seed %llu providers %zu: issued %llu done %llu failed %llu "
+                  "readings %llu reprovisions %llu cascades %llu degraded "
+                  "%zu %s\n",
+                  static_cast<unsigned long long>(seed), providers,
+                  static_cast<unsigned long long>(r.exertions_issued),
+                  static_cast<unsigned long long>(r.exertions_done),
+                  static_cast<unsigned long long>(r.exertions_failed),
+                  static_cast<unsigned long long>(r.readings_expected),
+                  static_cast<unsigned long long>(r.reprovisions),
+                  static_cast<unsigned long long>(r.cascades), r.degraded,
+                  r.ok() ? "ok" : "VIOLATED");
+      if (!r.ok()) {
+        ++violated;
+        std::puts(r.render().c_str());
+      }
+    }
+  }
+  std::printf("%zu cells, %zu violated   wall: %.0f ms\n", cells, violated,
+              wall_ms);
+  return violated == 0 ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "smoke") == 0) return run_smoke();
+  if (argc > 3 && std::strcmp(argv[1], "sweep") == 0) {
+    return run_seed_sweep(std::strtoull(argv[2], nullptr, 10),
+                          std::strtoull(argv[3], nullptr, 10));
+  }
   if (argc > 1 && std::strcmp(argv[1], "probe") == 0) {
     // bench_chaos probe [providers] [duration_s] [nodes] [seed] — one cell,
     // for sizing experiments.

@@ -4,19 +4,19 @@
 //
 // Simulates a churning population of sensor services: services join, live
 // for a random time, then either leave cleanly or crash (stop renewing).
-// Every service hands its lease to the real LeaseRenewalManager; each lease
-// duration is run twice — with per-lease renewal messages (batching off,
-// the pre-PR-8 wire protocol) and with per-(shard, window) renewAll batches.
-// Sweeps the lease duration and reports, per setting: how long crashed
-// services lingered as stale registry entries (detection latency), and the
-// renewal traffic paid for freshness in both modes. Expected shape: stale
-// time ~ lease duration (bounded by lease + sweep), individual renewal
-// message rate ~ 1/duration, and batching collapses that by >= 10x at CLM-3
-// scale while converging to the identical final population.
+// Every service hands its lease to the real LeaseRenewalManager, which
+// renews through per-(shard, window) renewAll batches. Sweeps the lease
+// duration and reports, per setting: how long crashed services lingered as
+// stale registry entries (detection latency), and the renewal traffic paid
+// for freshness against its bound of one message per shard per due window.
+// Expected shape: stale time ~ lease duration (bounded by lease + sweep),
+// renewal message rate ~ 1/duration, and the registry converges to exactly
+// the still-alive population.
 //
 // `bench_lease_churn smoke` runs only the harshest setting (300 services,
-// 1s leases) and exits nonzero unless the >= 10x message reduction and the
-// convergence equivalence both hold — CI's renewal-traffic regression gate.
+// 1s leases) and exits nonzero unless the renewAll messages stay within
+// shards x due windows and the registry converges — CI's renewal-traffic
+// regression gate.
 
 #include <cstdio>
 #include <cstring>
@@ -47,28 +47,22 @@ registry::ServiceItem make_item(const std::string& name) {
 struct ChurnResult {
   double stale_mean = 0.0;  // crash -> disposed (seconds)
   double stale_max = 0.0;
-  std::uint64_t renewal_msgs = 0;  // wire messages carrying renewals
+  std::uint64_t renewal_msgs = 0;   // renewAll wire messages
+  std::uint64_t renewal_bound = 0;  // shards x due windows in the run
   std::size_t final_population = 0;
   std::size_t expected_population = 0;
 };
 
-ChurnResult run_churn(util::SimDuration lease, bool batched) {
+ChurnResult run_churn(util::SimDuration lease) {
   util::Scheduler sched;
   auto lus = std::make_shared<LookupService>("lus", sched);
   // The renewal window tracks the half-life: every renewal falling due
   // within half a lease rides the same per-shard renewAll message.
-  registry::LeaseRenewalManager lrm(
-      sched, registry::LeaseBatchConfig{batched, lease / 2});
-  // Same seed in both modes: identical fates, so the final populations are
-  // directly comparable (the convergence-equivalence half of the CI gate).
+  const util::SimDuration window = lease / 2;
+  registry::LeaseRenewalManager lrm(sched, registry::LeaseBatchConfig{window});
   util::Rng rng(static_cast<std::uint64_t>(lease) * 7919 + 1);
 
   ChurnResult result;
-  // The LUS counts per-lease renewals in the global obs registry; in
-  // individual mode each renewal is one wire message, so the delta is the
-  // message count. Batched mode counts renewAll messages at the LRM.
-  obs::Counter& renewals = obs::metrics().counter("registry.renewals");
-  const std::uint64_t renewals_before = renewals.value();
   // Stale-time distribution straight into an obs histogram (sum/mean/max are
   // exact; bounds in seconds).
   obs::Registry run_metrics;
@@ -130,8 +124,9 @@ ChurnResult run_churn(util::SimDuration lease, bool batched) {
   sched.run_for(120 * util::kSecond);  // all lifetimes + leases settle
   result.stale_mean = stale.mean();
   result.stale_max = stale.max();
-  result.renewal_msgs =
-      batched ? lrm.batches_sent() : renewals.value() - renewals_before;
+  result.renewal_msgs = lrm.batches_sent();
+  result.renewal_bound =
+      lus->shard_count() * static_cast<std::uint64_t>(sched.now() / window);
   result.final_population = lus->service_count();
   result.expected_population = alive_forever;
   return result;
@@ -141,67 +136,53 @@ int run_sweep() {
   std::puts("=== CLM-3: leasing keeps the network healthy (§IV.B) ===\n");
   std::puts("300 services; 60% crash, 20% leave cleanly, 20% stay; "
             "virtual-time simulation.");
-  std::puts("Renewals via LeaseRenewalManager: individual = one message per "
-            "lease renewal; batched = one renewAll per (shard, half-life "
-            "window).\n");
+  std::puts("Renewals via LeaseRenewalManager: one renewAll per (shard, "
+            "half-life window); bound = shards x due windows in the run.\n");
   std::vector<std::vector<std::string>> rows;
   for (util::SimDuration lease :
        {1 * util::kSecond, 2 * util::kSecond, 5 * util::kSecond,
         10 * util::kSecond, 30 * util::kSecond}) {
-    const ChurnResult indiv = run_churn(lease, /*batched=*/false);
-    const ChurnResult batch = run_churn(lease, /*batched=*/true);
+    const ChurnResult churn = run_churn(lease);
     rows.push_back({
         util::format_duration(lease),
-        util::format("%.2fs", batch.stale_mean),
-        util::format("%.2fs", batch.stale_max),
-        std::to_string(indiv.renewal_msgs),
-        std::to_string(batch.renewal_msgs),
-        util::format("%.1fx", batch.renewal_msgs == 0
-                                  ? 0.0
-                                  : static_cast<double>(indiv.renewal_msgs) /
-                                        static_cast<double>(
-                                            batch.renewal_msgs)),
-        util::format("%zu / %zu", batch.final_population,
-                     batch.expected_population),
+        util::format("%.2fs", churn.stale_mean),
+        util::format("%.2fs", churn.stale_max),
+        std::to_string(churn.renewal_msgs),
+        std::to_string(churn.renewal_bound),
+        util::format("%zu / %zu", churn.final_population,
+                     churn.expected_population),
     });
   }
   std::puts(util::render_table({"lease", "mean stale", "max stale",
-                                "msgs indiv", "msgs batched", "reduction",
+                                "renewAll msgs", "bound",
                                 "final pop (got/want)"},
                                rows)
                 .c_str());
   std::puts("Expected shape: stale window grows with lease duration; renewal "
-            "traffic shrinks with it; batching cuts messages by an order of "
-            "magnitude on top; the registry always converges to exactly the "
+            "traffic shrinks with it and stays within one message per shard "
+            "per due window; the registry always converges to exactly the "
             "still-alive population (self-healing).");
   return 0;
 }
 
 int run_smoke() {
   // CI gate at CLM-3's harshest point: 300 services renewing 1s leases.
-  const util::SimDuration lease = 1 * util::kSecond;
-  const ChurnResult indiv = run_churn(lease, /*batched=*/false);
-  const ChurnResult batch = run_churn(lease, /*batched=*/true);
-  const double reduction =
-      batch.renewal_msgs == 0
-          ? 0.0
-          : static_cast<double>(indiv.renewal_msgs) /
-                static_cast<double>(batch.renewal_msgs);
-  std::printf("smoke: 300 services, 1s leases: %llu individual msgs, "
-              "%llu batched msgs (%.1fx reduction)\n",
-              static_cast<unsigned long long>(indiv.renewal_msgs),
-              static_cast<unsigned long long>(batch.renewal_msgs), reduction);
-  std::printf("smoke: convergence individual %zu/%zu, batched %zu/%zu\n",
-              indiv.final_population, indiv.expected_population,
-              batch.final_population, batch.expected_population);
+  const ChurnResult churn = run_churn(1 * util::kSecond);
+  std::printf("smoke: 300 services, 1s leases: %llu renewAll msgs "
+              "(bound %llu = shards x due windows)\n",
+              static_cast<unsigned long long>(churn.renewal_msgs),
+              static_cast<unsigned long long>(churn.renewal_bound));
+  std::printf("smoke: convergence %zu/%zu\n", churn.final_population,
+              churn.expected_population);
   bool ok = true;
-  if (reduction < 10.0) {
-    std::puts("FAIL: batched renewal must send >= 10x fewer messages");
+  if (churn.renewal_msgs > churn.renewal_bound) {
+    std::puts("FAIL: renewal must send at most one renewAll per shard per "
+              "due window");
     ok = false;
   }
-  if (indiv.final_population != indiv.expected_population ||
-      batch.final_population != batch.expected_population) {
-    std::puts("FAIL: both modes must converge to the still-alive population");
+  if (churn.final_population != churn.expected_population) {
+    std::puts("FAIL: the registry must converge to the still-alive "
+              "population");
     ok = false;
   }
   std::puts(ok ? "PASS" : "FAIL");

@@ -20,8 +20,8 @@
 # dataflow's stage reduction and sensor count, edge-fused vs central relay.
 # bench_discovery (google-benchmark) sweeps federated-registry operations to
 # 1e6 entries — register/renew/lookup-by-id must stay near-flat (PERF-6) —
-# and BENCH_lease_churn.txt carries the batched-vs-individual renewal
-# message columns. bench_chaos runs the seeded fault-injection sweep
+# and BENCH_lease_churn.txt carries the renewAll message counts against
+# their one-per-shard-per-window bound. bench_chaos runs the seeded fault-injection sweep
 # (src/chaos/) — seeds × provider counts on a 12-node fabric — and
 # BENCH_chaos.txt carries the per-cell convergence/invariant table (CHAOS-1);
 # any cell with violations fails the run.

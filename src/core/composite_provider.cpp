@@ -171,7 +171,7 @@ void CompositeSensorProvider::assume_state_from(
 
 std::vector<std::optional<double>> CompositeSensorProvider::fan_out(
     const std::vector<PlanEntry>& plan, util::SimDuration* latency) {
-  std::vector<std::shared_ptr<sorcer::Task>> tasks;
+  std::vector<sorcer::ExertionPtr> tasks;
   tasks.reserve(plan.size());
   for (const auto& entry : plan) {
     tasks.push_back(sorcer::Task::make(entry.task_name, entry.signature));
@@ -192,24 +192,14 @@ std::vector<std::optional<double>> CompositeSensorProvider::fan_out(
     if (federated) *latency = job->latency();
   }
   if (!federated) {
-    // No rendezvous peer on the network: resolve the prebuilt plan to
-    // servicers and scatter-gather it as one batch through the invocation
-    // pipeline. invoke_servicer_all (not exert) keeps the historical
-    // no-substitution semantics and metric counts of the direct path. The
-    // batch already paid its overlapped window in fabric time, so it costs
-    // the slowest child plus one batch-dispatch overhead — the Jobber's
-    // parallel latency model; an empty batch costs nothing.
-    std::vector<std::pair<std::shared_ptr<sorcer::Servicer>,
-                          sorcer::ExertionPtr>>
-        calls;
-    calls.reserve(tasks.size());
-    for (const auto& task : tasks) {
-      auto servicer = accessor_.find_servicer(task->signature());
-      if (servicer.is_ok()) calls.emplace_back(servicer.value(), task);
-    }
-    sorcer::invoke_servicer_all(accessor_, calls);
+    // No rendezvous peer on the network: scatter-gather the prebuilt tasks
+    // as one batch. Each pins its component by name, so each gets one
+    // attempt. The batch already paid its overlapped window in fabric time,
+    // so it costs the slowest child plus one batch-dispatch overhead — the
+    // Jobber's parallel latency model; a batch that routed no task (every
+    // component has left the registry) costs nothing.
     *latency = 0;
-    if (!calls.empty()) {
+    if (sorcer::exert_all(tasks, accessor_) > 0) {
       util::SimDuration slowest = 0;
       for (const auto& task : tasks) {
         slowest = std::max(slowest, task->latency());

@@ -8,7 +8,7 @@ namespace sensorcer::core {
 Deployment::Deployment(DeploymentConfig config)
     : config_(config),
       network_(scheduler_, config.seed),
-      lrm_(scheduler_, config.lease_batch),
+      lrm_(scheduler_),
       txn_manager_(scheduler_),
       mailbox_(scheduler_),
       discovery_(network_, scheduler_) {

@@ -35,9 +35,6 @@ struct DeploymentConfig {
   std::size_t lookup_services = 1;
   /// Shards per lookup service (consistent-hash partitions of the registry).
   std::size_t lus_shards = registry::RegistryFederation::kDefaultShards;
-  /// Lease renewal batching (one renewAll message per LUS shard per due
-  /// window instead of one message per lease).
-  registry::LeaseBatchConfig lease_batch;
   std::size_t cybernodes = 2;
   rio::QosCapability cybernode_capability{4.0, 4096.0, "x86_64", {}};
   bool with_jobber = true;

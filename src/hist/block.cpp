@@ -433,8 +433,14 @@ bool SealedBlock::Cursor::next(sensor::Reading& out) {
         return false;
       }
     }
-    prev_delta_ += dod;
-    prev_ts_ += prev_delta_;
+    // Corrupted input can decode to any delta-of-delta: accumulate modulo
+    // 2^64, since signed overflow is undefined.
+    prev_delta_ = static_cast<util::SimDuration>(
+        static_cast<std::uint64_t>(prev_delta_) +
+        static_cast<std::uint64_t>(dod));
+    prev_ts_ = static_cast<util::SimTime>(
+        static_cast<std::uint64_t>(prev_ts_) +
+        static_cast<std::uint64_t>(prev_delta_));
 
     // Value: XOR against the previous value's bits.
     if (!stream.get(1, b)) {

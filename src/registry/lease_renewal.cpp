@@ -24,9 +24,6 @@ LeaseMetrics& lease_metrics() {
 }  // namespace
 
 LeaseRenewalManager::~LeaseRenewalManager() {
-  for (auto& [id, m] : managed_) {
-    if (m.timer != 0) scheduler_.cancel(m.timer);
-  }
   for (auto& [key, batch] : batches_) scheduler_.cancel(batch.timer);
 }
 
@@ -34,34 +31,8 @@ void LeaseRenewalManager::manage(const Lease& lease,
                                  std::weak_ptr<LookupService> lus,
                                  util::SimDuration duration) {
   release(lease.id);  // replace any previous management of this lease
-  managed_[lease.id] = Managed{std::move(lus), duration, lease.shard, 0, -1};
-  if (batch_.enabled) {
-    enqueue(lease.id);
-  } else {
-    arm(lease.id);
-  }
-}
-
-void LeaseRenewalManager::arm(const util::Uuid& lease_id) {
-  auto it = managed_.find(lease_id);
-  if (it == managed_.end()) return;
-  // Renew at half-life: late enough to be cheap, early enough to survive a
-  // missed sweep.
-  const util::SimDuration delay = std::max<util::SimDuration>(
-      it->second.duration / 2, util::kMillisecond);
-  it->second.timer = scheduler_.schedule_after(delay, [this, lease_id] {
-    auto mit = managed_.find(lease_id);
-    if (mit == managed_.end()) return;
-    auto lus = mit->second.lus.lock();
-    if (!lus || !lus->renew_lease(lease_id, mit->second.duration).is_ok()) {
-      ++failures_;
-      lease_metrics().failures.add(1);
-      managed_.erase(mit);
-      return;
-    }
-    lease_metrics().renewals.add(1);
-    arm(lease_id);
-  });
+  managed_[lease.id] = Managed{std::move(lus), duration, lease.shard, -1};
+  enqueue(lease.id);
 }
 
 void LeaseRenewalManager::enqueue(const util::Uuid& lease_id) {
@@ -138,18 +109,14 @@ void LeaseRenewalManager::fire_batch(const BatchKey& key) {
 }
 
 void LeaseRenewalManager::release(const util::Uuid& lease_id) {
-  auto it = managed_.find(lease_id);
-  if (it == managed_.end()) return;
-  if (it->second.timer != 0) scheduler_.cancel(it->second.timer);
-  // Batched leases need no timer bookkeeping: the window fires regardless
-  // and skips ids that are no longer managed.
-  managed_.erase(it);
+  // No timer bookkeeping: the lease's window fires regardless and skips ids
+  // that are no longer managed.
+  managed_.erase(lease_id);
 }
 
 void LeaseRenewalManager::cancel(const util::Uuid& lease_id) {
   auto it = managed_.find(lease_id);
   if (it == managed_.end()) return;
-  if (it->second.timer != 0) scheduler_.cancel(it->second.timer);
   if (auto lus = it->second.lus.lock()) (void)lus->cancel_lease(lease_id);
   managed_.erase(it);
 }

@@ -7,12 +7,11 @@
 // death) lets the lease lapse, and the LUS disposes the registration — the
 // self-healing behaviour of §IV.B.
 //
-// PR 8 replaces the per-lease renewal timers with per-(LUS, shard,
-// due-window) batching: leases whose half-life renewal falls in the same
-// window ride one renewAll wire message to their shard (EMMA's
-// aggregate-per-neighbor lesson), so renewal traffic scales with
-// shards x windows instead of with the lease population. Denied leases
-// lapse individually; the rest of the batch survives.
+// Renewals are batched per (LUS, shard, due-window): leases whose
+// half-life renewal falls in the same window ride one renewAll wire message
+// to their shard (EMMA's aggregate-per-neighbor lesson), so renewal traffic
+// scales with shards x windows instead of with the lease population.
+// Denied leases lapse individually; the rest of the batch survives.
 
 #include <memory>
 #include <unordered_map>
@@ -23,11 +22,10 @@
 
 namespace sensorcer::registry {
 
-/// Renewal batching knobs. `window` is the due-bucket width: wider windows
+/// Renewal batching knob. `window` is the due-bucket width: wider windows
 /// pack more leases per message but renew slightly earlier on average
 /// (a lease is renewed at most one window before its half-life).
 struct LeaseBatchConfig {
-  bool enabled = true;
   util::SimDuration window = 100 * util::kMillisecond;
 };
 
@@ -58,7 +56,7 @@ class LeaseRenewalManager {
   /// Renewals that failed because the LUS was gone or refused.
   [[nodiscard]] std::uint64_t failed_renewals() const { return failures_; }
 
-  /// renewAll wire messages sent (batched mode only).
+  /// renewAll wire messages sent.
   [[nodiscard]] std::uint64_t batches_sent() const { return batches_sent_; }
 
  private:
@@ -66,8 +64,7 @@ class LeaseRenewalManager {
     std::weak_ptr<LookupService> lus;
     util::SimDuration duration;
     std::uint32_t shard = 0;
-    util::TimerId timer = 0;          // individual mode
-    util::SimTime batch_fire = -1;    // batched mode: pending window start
+    util::SimTime batch_fire = -1;  // pending window start
   };
 
   struct BatchKey {
@@ -91,7 +88,6 @@ class LeaseRenewalManager {
     std::vector<util::Uuid> leases;
   };
 
-  void arm(const util::Uuid& lease_id);
   void enqueue(const util::Uuid& lease_id);
   void fire_batch(const BatchKey& key);
 

@@ -39,7 +39,9 @@ enum class Access { kPush, kPull };
 struct ControlStrategy {
   Flow flow = Flow::kSequence;
   Access access = Access::kPush;
-  bool fail_fast = true;  // sequence flow: stop at the first failed child
+  /// Fail-fast: any failed child aborts the job (sequence flow stops at
+  /// it). Lenient: the job aborts only when no child is done.
+  bool fail_fast = true;
 };
 
 enum class ExertStatus { kInitial, kRunning, kDone, kFailed };
@@ -144,6 +146,19 @@ class Job final : public Exertion {
   [[nodiscard]] const std::vector<ExertionPtr>& children() const {
     return children_;
   }
+
+  /// A rendezvous peer takes the job on: mark it running and stamp every
+  /// unstamped child with the job's trace context, so children scattered
+  /// as one batch (where no thread-local context is current per child)
+  /// still link under it.
+  void start();
+
+  /// The job's verdict once its children ran — one rule for every
+  /// rendezvous peer and flow. Fail-fast aborts naming the first failed
+  /// child; lenient aborts only when the job has children and none is
+  /// done. Otherwise child outputs surface in the job context under
+  /// "<child-name>/" and the job is done.
+  void conclude();
 
   static std::shared_ptr<Job> make(std::string name,
                                    ControlStrategy strategy = {}) {

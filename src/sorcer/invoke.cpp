@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "obs/metrics.h"
-#include "sorcer/accessor.h"
 #include "sorcer/provider.h"
 #include "util/strings.h"
 
@@ -389,55 +388,6 @@ util::Status RemoteInvoker::ping(simnet::Address target,
   }
   done_.erase(call_id);
   return util::Status::ok();
-}
-
-util::Status require_invoker(const ServiceAccessor& accessor) {
-  if (accessor.invoker() != nullptr) return util::Status::ok();
-  return {util::ErrorCode::kFailedPrecondition,
-          "accessor has no invoker: no provider is reachable"};
-}
-
-util::Result<ExertionPtr> invoke_servicer(
-    ServiceAccessor& accessor, const std::shared_ptr<Servicer>& servicer,
-    const ExertionPtr& exertion, registry::Transaction* txn) {
-  if (!servicer || !exertion) {
-    return util::Status{util::ErrorCode::kInvalidArgument,
-                        "null servicer or exertion"};
-  }
-  if (util::Status wired = require_invoker(accessor); !wired.is_ok()) {
-    exertion->set_error(wired);
-    return wired;
-  }
-  return accessor.invoker()->invoke(servicer, exertion, txn);
-}
-
-void invoke_servicer_all(
-    ServiceAccessor& accessor,
-    const std::vector<std::pair<std::shared_ptr<Servicer>, ExertionPtr>>&
-        calls,
-    registry::Transaction* txn) {
-  if (util::Status wired = require_invoker(accessor); !wired.is_ok()) {
-    for (const auto& [servicer, exertion] : calls) {
-      if (exertion) exertion->set_error(wired);
-    }
-    return;
-  }
-  RemoteInvoker* invoker = accessor.invoker();
-  // Scatter every request onto the fabric, then gather them with one shared
-  // pump: the round-trips overlap in virtual time.
-  std::vector<PendingCall> pending;
-  pending.reserve(calls.size());
-  for (const auto& [servicer, exertion] : calls) {
-    pending.push_back(invoker->begin_invoke(servicer, exertion, txn));
-  }
-  std::vector<PendingCall*> open;
-  open.reserve(pending.size());
-  for (PendingCall& call : pending) {
-    if (!call.completed()) open.push_back(&call);
-  }
-  if (!open.empty()) invoker->pump_until_all(open);
-  // Outcomes landed on the exertions; return the call shells to the pool.
-  for (PendingCall& call : pending) invoker->recycle(std::move(call));
 }
 
 }  // namespace sensorcer::sorcer

@@ -3,12 +3,13 @@
 // reaches a provider.
 //
 // Every exertion dispatch — exert()'s task binding, the Jobber's child
-// dispatch, space workers, the CSP's direct fan-out, facade reads — funnels
-// through the accessor's RemoteInvoker, and every call crosses the simnet
-// fabric: the request is marshalled into a Message sized by the flat-codec
-// encoding of the exertion's context, sent under TCP protocol headers with
-// trace-context propagation, dispatched provider-side by ServiceProvider's
-// network handler, and answered the same way. Loss, partitions, bandwidth
+// dispatch, space workers, the CSP's direct fan-out, facade reads — runs
+// through exert() or exert_all() (sorcer/exert.h) onto the accessor's
+// RemoteInvoker, and every call crosses the simnet fabric: the request is
+// marshalled into a Message sized by the flat-codec encoding of the
+// exertion's context, sent under TCP protocol headers with trace-context
+// propagation, dispatched provider-side by ServiceProvider's network
+// handler, and answered the same way. Loss, partitions, bandwidth
 // shaping and per-call deadlines (kTimeout) all come from the fabric for
 // free — once calls are messages, they can be observed, dropped, and
 // re-routed. A provider with no live endpoint on the fabric (never attached,
@@ -33,7 +34,6 @@
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "obs/trace.h"
@@ -45,11 +45,10 @@
 
 namespace sensorcer::sorcer {
 
-class ServiceAccessor;
 class ServiceProvider;
 
-/// How invoke_servicer() reaches a provider: request/response Messages over
-/// the simnet fabric, the only transport there is.
+/// How the invoker reaches a provider: request/response Messages over the
+/// simnet fabric, the only transport there is.
 enum class Transport { kWire };
 
 /// Wire-protocol topics (application dispatch tags on Messages).
@@ -203,8 +202,8 @@ class RemoteInvoker {
 
   /// Return a gathered call's shell for reuse: its string/span/result slots
   /// are cleared (capacity retained) and the next begin_invoke() recycles it
-  /// instead of constructing fresh. Callers that batch (exert fan-out,
-  /// invoke_servicer_all) recycle after harvesting outcomes.
+  /// instead of constructing fresh. exert() and exert_all() recycle after
+  /// harvesting outcomes.
   void recycle(PendingCall&& call);
 
   /// Per-peer codec state (intern tables + payload buffer pool); exposed so
@@ -265,28 +264,5 @@ class RemoteInvoker {
   int pump_depth_ = 0;
   std::thread::id pump_thread_{};
 };
-
-/// kFailedPrecondition when `accessor` has no invoker wired — such an
-/// accessor can reach no provider. Every dispatch entry point (exert,
-/// exert_all, invoke_servicer, invoke_servicer_all) checks it first.
-util::Status require_invoker(const ServiceAccessor& accessor);
-
-/// The one call-site entry point: route `servicer->service(...)` through
-/// `accessor`'s invoker. Without one, the exertion is failed with
-/// kFailedPrecondition and that status is returned.
-util::Result<ExertionPtr> invoke_servicer(
-    ServiceAccessor& accessor, const std::shared_ptr<Servicer>& servicer,
-    const ExertionPtr& exertion, registry::Transaction* txn);
-
-/// Batch counterpart of invoke_servicer(): scatter every (servicer,
-/// exertion) pair through begin_invoke() and gather them with one shared
-/// pump, so their round-trips overlap on the fabric. Outcomes land on the
-/// exertions themselves (kFailedPrecondition on each when the accessor has
-/// no invoker).
-void invoke_servicer_all(
-    ServiceAccessor& accessor,
-    const std::vector<std::pair<std::shared_ptr<Servicer>, ExertionPtr>>&
-        calls,
-    registry::Transaction* txn = nullptr);
 
 }  // namespace sensorcer::sorcer

@@ -43,17 +43,9 @@ util::Result<ExertionPtr> Jobber::service(ExertionPtr exertion,
   }
 
   auto job = std::static_pointer_cast<Job>(exertion);
-  job->set_status(ExertStatus::kRunning);
+  job->start();
   ++jobs_;
   jobber_metrics().jobs.add(1);
-
-  // Stamp children with the job's trace context before dispatch: parallel
-  // flow scatters them as one batch, where thread-local context is useless.
-  for (const auto& child : job->children()) {
-    if (!child->trace_context().valid()) {
-      child->set_trace_context(job->trace_context());
-    }
-  }
 
   if (job->strategy().flow == Flow::kParallel) {
     run_parallel(*job, txn);
@@ -62,21 +54,7 @@ util::Result<ExertionPtr> Jobber::service(ExertionPtr exertion,
   }
   job->add_trace(provider_name());
   jobber_metrics().latency.observe(static_cast<double>(job->latency()));
-
-  if (job->status() != ExertStatus::kFailed) {
-    // Surface child outputs in the job context so the requestor reads one
-    // context: child paths are merged under "<child-name>/".
-    for (const auto& child : job->children()) {
-      for (const auto& path : child->context().paths()) {
-        auto v = child->context().get(path);
-        if (v.is_ok()) {
-          job->context().put(child->name() + "/" + path,
-                             std::move(v).value());
-        }
-      }
-    }
-    job->set_status(ExertStatus::kDone);
-  }
+  job->conclude();
   return exertion;
 }
 
@@ -93,25 +71,12 @@ void Jobber::run_sequence(Job& job, registry::Transaction* txn) {
   for (const auto& child : job.children()) {
     (void)run_child(child, txn);
     total += child->latency() + kDispatchOverhead;
-    if (child->status() == ExertStatus::kFailed) {
-      if (job.strategy().fail_fast) {
-        job.set_error({util::ErrorCode::kAborted,
-                       "child '" + child->name() +
-                           "' failed: " + child->error().message()});
-        break;
-      }
+    // Fail-fast stops at the first failed child; Job::conclude() aborts.
+    if (child->status() == ExertStatus::kFailed && job.strategy().fail_fast) {
+      break;
     }
   }
   job.add_latency(total);
-  if (job.status() != ExertStatus::kFailed && !job.strategy().fail_fast) {
-    // Lenient mode: the job fails only if *every* child failed.
-    const bool any_ok = std::any_of(
-        job.children().begin(), job.children().end(),
-        [](const auto& c) { return c->status() == ExertStatus::kDone; });
-    if (!any_ok && !job.children().empty()) {
-      job.set_error({util::ErrorCode::kAborted, "all children failed"});
-    }
-  }
 }
 
 void Jobber::run_parallel(Job& job, registry::Transaction* txn) {
@@ -134,15 +99,6 @@ void Jobber::run_parallel(Job& job, registry::Transaction* txn) {
       slowest = std::max(slowest, child->latency());
     }
     job.add_latency(slowest + kDispatchOverhead);
-  }
-
-  for (const auto& child : children) {
-    if (child->status() == ExertStatus::kFailed && job.strategy().fail_fast) {
-      job.set_error({util::ErrorCode::kAborted,
-                     "child '" + child->name() +
-                         "' failed: " + child->error().message()});
-      return;
-    }
   }
 }
 

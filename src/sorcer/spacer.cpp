@@ -59,16 +59,8 @@ util::Result<ExertionPtr> Spacer::service(ExertionPtr exertion,
   }
 
   auto job = std::static_pointer_cast<Job>(exertion);
-  job->set_status(ExertStatus::kRunning);
+  job->start();
   spacer_metrics().jobs.add(1);
-
-  // Stamp children before they enter the space: the drained batch is
-  // scattered as a whole, where thread-local context is useless.
-  for (const auto& child : job->children()) {
-    if (!child->trace_context().valid()) {
-      child->set_trace_context(job->trace_context());
-    }
-  }
 
   // Nested jobs cannot ride the space (envelopes hold tasks); run them
   // through the federation first, sequentially.
@@ -107,25 +99,7 @@ util::Result<ExertionPtr> Spacer::service(ExertionPtr exertion,
   job->add_latency(*std::max_element(clocks.begin(), clocks.end()));
   job->add_trace(provider_name());
   spacer_metrics().latency.observe(static_cast<double>(job->latency()));
-
-  for (const auto& child : job->children()) {
-    if (child->status() == ExertStatus::kFailed && job->strategy().fail_fast) {
-      job->set_error({util::ErrorCode::kAborted,
-                      "child '" + child->name() +
-                          "' failed: " + child->error().message()});
-      return exertion;
-    }
-  }
-
-  for (const auto& child : job->children()) {
-    for (const auto& path : child->context().paths()) {
-      auto v = child->context().get(path);
-      if (v.is_ok()) {
-        job->context().put(child->name() + "/" + path, std::move(v).value());
-      }
-    }
-  }
-  job->set_status(ExertStatus::kDone);
+  job->conclude();
   return exertion;
 }
 

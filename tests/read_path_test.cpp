@@ -214,6 +214,31 @@ TEST_F(ReadPathTest, ParallelDirectFanoutUsesSlowestChildModel) {
   EXPECT_EQ(four->last_collection_latency(), one->last_collection_latency());
 }
 
+TEST_F(ReadPathTest, DirectFanoutThatRoutesNoComponentCostsNothing) {
+  // No rendezvous peer, and every component has left the registry: the
+  // batch reaches no provider, so the read fails and the collection is
+  // charged nothing.
+  DeploymentConfig config;
+  config.with_jobber = false;
+  config.with_spacer = false;
+  Deployment lab(config);
+  lab.add_temperature_sensor("S0", 20.0);
+  lab.add_temperature_sensor("S1", 21.0);
+  lab.pump(kSecond);
+  auto csp = lab.manager().create_composite("C");
+  ASSERT_TRUE(csp->add_component("S0").is_ok());
+  ASSERT_TRUE(csp->add_component("S1").is_ok());
+  ASSERT_TRUE(csp->get_value().is_ok());
+  EXPECT_GT(csp->last_collection_latency(), 0);
+
+  ASSERT_TRUE(lab.manager().remove_service("S0").is_ok());
+  ASSERT_TRUE(lab.manager().remove_service("S1").is_ok());
+  auto read = csp->get_value();
+  ASSERT_FALSE(read.is_ok());
+  EXPECT_EQ(read.status().code(), util::ErrorCode::kUnavailable);
+  EXPECT_EQ(csp->last_collection_latency(), 0);
+}
+
 // --- re-binding after composition changes ----------------------------------------
 
 TEST_F(ReadPathTest, RemoveComponentRebindsSurvivingVariables) {

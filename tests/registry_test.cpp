@@ -963,7 +963,7 @@ TEST_F(FederationTest, ExpiryIndexReArmsRenewedLeases) {
 TEST(BatchedRenewal, DeniedLeaseLapsesBatchSurvives) {
   util::Scheduler sched;
   auto lus = std::make_shared<LookupService>("lus", sched);
-  LeaseRenewalManager lrm{sched, LeaseBatchConfig{true, 100 * kMillisecond}};
+  LeaseRenewalManager lrm{sched, LeaseBatchConfig{100 * kMillisecond}};
 
   auto a = lus->register_service(make_item("a"), 2 * kSecond);
   auto b = lus->register_service(make_item("b"), 2 * kSecond);
@@ -990,7 +990,7 @@ TEST(BatchedRenewal, StormSendsOneMessagePerShardPerWindow) {
   const std::size_t kShards = 4;
   auto lus = std::make_shared<LookupService>(
       "lus", sched, nullptr, 100 * kMillisecond, kShards);
-  LeaseRenewalManager lrm{sched, LeaseBatchConfig{true, 100 * kMillisecond}};
+  LeaseRenewalManager lrm{sched, LeaseBatchConfig{100 * kMillisecond}};
 
   // 10k leases granted at t=0 with the same duration: every renewal falls
   // due in the same window, so each round must collapse to one renewAll
@@ -1014,22 +1014,6 @@ TEST(BatchedRenewal, StormSendsOneMessagePerShardPerWindow) {
   EXPECT_EQ(lrm.failed_renewals(), 0u);
   EXPECT_EQ(lus->service_count(), kLeases);
   EXPECT_EQ(lus->expired_count(), 0u);
-}
-
-TEST(BatchedRenewal, DisabledBatchingFallsBackToIndividualTimers) {
-  util::Scheduler sched;
-  auto lus = std::make_shared<LookupService>("lus", sched);
-  LeaseRenewalManager lrm{sched, LeaseBatchConfig{false}};
-  std::vector<ServiceRegistration> regs;
-  for (int i = 0; i < 8; ++i) {
-    regs.push_back(
-        lus->register_service(make_item("s" + std::to_string(i)), 2 * kSecond));
-    lrm.manage(regs.back().lease, lus, 2 * kSecond);
-  }
-  sched.run_for(30 * kSecond);
-  for (const auto& reg : regs) EXPECT_TRUE(lus->contains(reg.service_id));
-  EXPECT_EQ(lrm.batches_sent(), 0u);  // legacy per-lease path
-  EXPECT_EQ(lrm.failed_renewals(), 0u);
 }
 
 }  // namespace

@@ -276,15 +276,6 @@ TEST_F(FederationTest, AccessorWithoutInvokerCannotDispatch) {
   exert_all({batched}, bare);
   EXPECT_EQ(batched->error().code(), precondition);
 
-  auto direct = add_task(1, 1);
-  EXPECT_EQ(invoke_servicer(bare, adder, direct, nullptr).status().code(),
-            precondition);
-  EXPECT_EQ(direct->error().code(), precondition);
-
-  auto direct_batched = add_task(1, 1);
-  invoke_servicer_all(bare, {{adder, direct_batched}});
-  EXPECT_EQ(direct_batched->error().code(), precondition);
-
   EXPECT_EQ(adder->invocation_count(), 0u);
 }
 
@@ -422,6 +413,16 @@ TEST_F(JobberTest, LenientJobWithAllFailuresFails) {
   EXPECT_EQ(job->status(), ExertStatus::kFailed);
 }
 
+TEST_F(JobberTest, LenientParallelJobWithAllFailuresFails) {
+  // Parallel flow reaches the same verdict as sequence flow.
+  auto job = Job::make("j", {Flow::kParallel, Access::kPush, false});
+  job->add(Task::make("bad", Signature{type::kTasker, "boom", "Failer"}));
+  job->add(Task::make("worse", Signature{type::kTasker, "boom", "Failer"}));
+  (void)exert(job, accessor);
+  EXPECT_EQ(job->status(), ExertStatus::kFailed);
+  EXPECT_EQ(job->error().code(), util::ErrorCode::kAborted);
+}
+
 TEST_F(JobberTest, ParallelFailFastFailsJob) {
   auto job = Job::make("j", {Flow::kParallel, Access::kPush, true});
   job->add(add_task(1, 1));
@@ -556,6 +557,16 @@ TEST_F(SpacerTest, PullJobRoutesToSpacer) {
   EXPECT_EQ(space.total_completed(), 1u);
 }
 
+TEST_F(SpacerTest, LenientPullJobWithAllFailuresFails) {
+  // The Spacer reaches the same verdict as the Jobber.
+  auto job = Job::make("j", {Flow::kParallel, Access::kPull, false});
+  job->add(Task::make("bad", Signature{type::kTasker, "boom", "Failer"}));
+  job->add(Task::make("worse", Signature{type::kTasker, "boom", "Failer"}));
+  (void)exert(job, accessor);
+  EXPECT_EQ(job->status(), ExertStatus::kFailed);
+  EXPECT_EQ(job->error().code(), util::ErrorCode::kAborted);
+}
+
 TEST_F(SpacerTest, MakespanBetweenMaxAndSum) {
   auto job = Job::make("j", {Flow::kParallel, Access::kPull, true});
   for (int i = 0; i < 8; ++i) job->add(add_task(i, i));
@@ -642,7 +653,17 @@ INSTANTIATE_TEST_SUITE_P(Workers, WorkerScalingTest,
 namespace sensorcer::sorcer {
 namespace {
 
-class SubstitutionTest : public ::testing::Test {
+/// The two dispatch entry points, which run the same state machine.
+enum class Entry { kExert, kExertAll };
+
+void PrintTo(Entry entry, std::ostream* os) {
+  *os << (entry == Entry::kExert ? "exert" : "exert_all");
+}
+
+/// Every case runs once through exert() and once through a one-element
+/// exert_all(); both must give the same status, error code, latency and
+/// substitution count.
+class SubstitutionTest : public ::testing::TestWithParam<Entry> {
  protected:
   SubstitutionTest() {
     lus = std::make_shared<registry::LookupService>("lus", sched);
@@ -670,6 +691,26 @@ class SubstitutionTest : public ::testing::Test {
     return peer;
   }
 
+  /// Submit `exertion` through the entry point under test; returns how many
+  /// substitutions the dispatch made.
+  std::uint64_t submit(const ExertionPtr& exertion) {
+    obs::Counter& substitutions =
+        obs::metrics().counter("sorcer.substitutions");
+    const std::uint64_t before = substitutions.value();
+    if (GetParam() == Entry::kExert) {
+      (void)exert(exertion, accessor);
+    } else {
+      exert_all({exertion}, accessor);
+    }
+    return substitutions.value() - before;
+  }
+
+  /// One attempt at a "measure" provider: its service time plus the round
+  /// trip on the fabric.
+  util::SimDuration attempt() const {
+    return util::kMillisecond + 2 * net.latency();
+  }
+
   util::Scheduler sched;
   simnet::Network net{sched};
   RemoteInvoker invoker{net};
@@ -680,10 +721,12 @@ class SubstitutionTest : public ::testing::Test {
   std::shared_ptr<Tasker> steady;
 };
 
-TEST_F(SubstitutionTest, UnavailableProviderIsSubstituted) {
+TEST_P(SubstitutionTest, UnavailableProviderIsSubstituted) {
   auto task = Task::make("t", Signature{type::kTasker, "measure", ""});
-  (void)exert(task, accessor);
+  EXPECT_EQ(submit(task), 1u);
   EXPECT_EQ(task->status(), ExertStatus::kDone);
+  EXPECT_EQ(task->error().code(), util::ErrorCode::kOk);
+  EXPECT_EQ(task->latency(), 2 * attempt());
   EXPECT_EQ(task->context().get_string("served/by").value_or(""), "Bravo");
   // Both attempts are audited in the trace.
   EXPECT_EQ(task->trace(), (std::vector<std::string>{"Alpha", "Bravo"}));
@@ -691,15 +734,16 @@ TEST_F(SubstitutionTest, UnavailableProviderIsSubstituted) {
   EXPECT_EQ(steady->invocation_count(), 1u);
 }
 
-TEST_F(SubstitutionTest, PinnedProviderIsNotSubstituted) {
+TEST_P(SubstitutionTest, PinnedProviderIsNotSubstituted) {
   auto task = Task::make("t", Signature{type::kTasker, "measure", "Alpha"});
-  (void)exert(task, accessor);
+  EXPECT_EQ(submit(task), 0u);
   EXPECT_EQ(task->status(), ExertStatus::kFailed);
   EXPECT_EQ(task->error().code(), util::ErrorCode::kUnavailable);
+  EXPECT_EQ(task->latency(), attempt());
   EXPECT_EQ(steady->invocation_count(), 0u);
 }
 
-TEST_F(SubstitutionTest, NonUnavailabilityErrorsAreNotRetried) {
+TEST_P(SubstitutionTest, NonUnavailabilityErrorsAreNotRetried) {
   auto broken = std::make_shared<Tasker>("AAA-Broken");
   broken->add_operation("measure", [](ServiceContext&) -> util::Status {
     return {util::ErrorCode::kInternal, "bug"};
@@ -707,45 +751,56 @@ TEST_F(SubstitutionTest, NonUnavailabilityErrorsAreNotRetried) {
   broken->attach_network(net);
   (void)broken->join(lus, lrm, 3600 * util::kSecond);
   auto task = Task::make("t", Signature{type::kTasker, "measure", ""});
-  (void)exert(task, accessor);
+  EXPECT_EQ(submit(task), 0u);  // no substitution attempted
   EXPECT_EQ(task->status(), ExertStatus::kFailed);
   EXPECT_EQ(task->error().code(), util::ErrorCode::kInternal);
-  EXPECT_EQ(steady->invocation_count(), 0u);  // no substitution attempted
+  EXPECT_EQ(task->latency(), attempt());
+  EXPECT_EQ(steady->invocation_count(), 0u);
 }
 
-TEST_F(SubstitutionTest, AllEquivalentsDownFailsWithLastError) {
+TEST_P(SubstitutionTest, AllEquivalentsDownFailsWithLastError) {
   steady->leave();
   auto task = Task::make("t", Signature{type::kTasker, "measure", ""});
-  (void)exert(task, accessor);
+  // Alpha answered UNAVAILABLE and there was nobody left to try: the
+  // substitute's resolution fails.
+  EXPECT_EQ(submit(task), 1u);
   EXPECT_EQ(task->status(), ExertStatus::kFailed);
-  // Alpha answered UNAVAILABLE and there was nobody left to try.
-  EXPECT_TRUE(task->error().code() == util::ErrorCode::kUnavailable ||
-              task->error().code() == util::ErrorCode::kNotFound);
+  EXPECT_EQ(task->error().code(), util::ErrorCode::kNotFound);
+  EXPECT_EQ(task->latency(), attempt());
 }
 
-TEST_F(SubstitutionTest, SubstitutionWorksInsideJobs) {
+TEST_P(SubstitutionTest, SubstitutionWorksInsideJobs) {
   auto jobber = std::make_shared<Jobber>("Jobber", accessor);
   jobber->attach_network(net);
   (void)jobber->join(lus, lrm, 3600 * util::kSecond);
   auto job = Job::make("j", {Flow::kParallel, Access::kPush, true});
   auto t1 = Task::make("t1", Signature{type::kTasker, "measure", ""});
   job->add(t1);
-  (void)exert(job, accessor);
+  EXPECT_EQ(submit(job), 1u);
   EXPECT_EQ(job->status(), ExertStatus::kDone);
+  EXPECT_EQ(job->error().code(), util::ErrorCode::kOk);
+  // The job's own round trip, its substituted child and one batch-dispatch
+  // overhead.
+  EXPECT_EQ(job->latency(), 2 * net.latency() + 2 * attempt() +
+                                Jobber::kDispatchOverhead);
   EXPECT_EQ(t1->context().get_string("served/by").value_or(""), "Bravo");
 }
 
-TEST_F(SubstitutionTest, TaskAddressedToJobberTypeExecutesOnJobber) {
+TEST_P(SubstitutionTest, TaskAddressedToJobberTypeExecutesOnJobber) {
   auto jobber = std::make_shared<Jobber>("Jobber", accessor);
   jobber->attach_network(net);
   (void)jobber->join(lus, lrm, 3600 * util::kSecond);
   // No operations are installed on the jobber, so this must terminate with
   // NOT_FOUND rather than looping through the federation.
   auto task = Task::make("t", Signature{type::kJobber, "bogus", ""});
-  (void)exert(task, accessor);
+  EXPECT_EQ(submit(task), 0u);
   EXPECT_EQ(task->status(), ExertStatus::kFailed);
   EXPECT_EQ(task->error().code(), util::ErrorCode::kNotFound);
+  EXPECT_EQ(task->latency(), 2 * net.latency());
 }
+
+INSTANTIATE_TEST_SUITE_P(Entries, SubstitutionTest,
+                         ::testing::Values(Entry::kExert, Entry::kExertAll));
 
 }  // namespace
 }  // namespace sensorcer::sorcer
