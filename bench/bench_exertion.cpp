@@ -212,25 +212,29 @@ MarshalStats marshal_legacy(const ServiceContext& src, std::size_t iters) {
 }
 
 MarshalStats marshal_flat(const ServiceContext& src, std::size_t iters) {
-  auto pool = BufferPool::make();
+  BufferPool pool;
   PathInternTable encode_side;
   PathInternTable decode_side;
   ServiceContext dst;
   // One warm-up round trip: interns every path on both sides and sizes the
   // recycled buffer/context, exactly like the second call on a live pair.
   {
-    BufferPool::Handle buf = pool->acquire();
-    encode_context(src, encode_side, *buf);
-    (void)decode_context(buf->data(), buf->size(), decode_side, dst);
+    WireBuffer buf = pool.acquire();
+    encode_context(src, encode_side, buf);
+    (void)decode_context(buf.data(), buf.size(), decode_side, dst);
+    pool.release(std::move(buf));
   }
   return time_marshal(iters, [&]() -> double {
-    BufferPool::Handle buf = pool->acquire();
-    encode_context(src, encode_side, *buf);
-    if (!decode_context(buf->data(), buf->size(), decode_side, dst).is_ok()) {
+    WireBuffer buf = pool.acquire();
+    encode_context(src, encode_side, buf);
+    if (!decode_context(buf.data(), buf.size(), decode_side, dst).is_ok()) {
       std::puts("FAILED: flat decode error in marshalling table");
       std::exit(1);
     }
-    return static_cast<double>(buf->size() + wire::kFlatRequestEnvelopeBytes);
+    const auto bytes =
+        static_cast<double>(buf.size() + wire::kFlatRequestEnvelopeBytes);
+    pool.release(std::move(buf));
+    return bytes;
   });
 }
 

@@ -116,15 +116,18 @@ std::string render_federation_health(const Snapshot& snap) {
                                  static_cast<unsigned long long>(hits + misses))});
   }
   {
-    const auto acquires = snap.counter_or("invoke.pool_acquires");
+    // invoke.pool_acquires counts cold acquisitions only, so every
+    // acquisition is either cold or a reuse.
+    const auto cold = snap.counter_or("invoke.pool_acquires");
     const auto reuse = snap.counter_or("invoke.pool_reuse");
-    const double rate = acquires == 0 ? 0.0
-                                      : static_cast<double>(reuse) /
-                                            static_cast<double>(acquires);
+    const auto total = reuse + cold;
+    const double rate = total == 0 ? 0.0
+                                   : static_cast<double>(reuse) /
+                                         static_cast<double>(total);
     rows.push_back({"wire", "buffer pool reuse rate",
                     util::format("%.1f%% (%llu/%llu)", 100.0 * rate,
                                  static_cast<unsigned long long>(reuse),
-                                 static_cast<unsigned long long>(acquires))});
+                                 static_cast<unsigned long long>(total))});
   }
   {
     const auto wire_calls = snap.counter_or("invoke.wire_calls");

@@ -88,7 +88,7 @@ void DiscoveryManager::announce(const std::shared_ptr<LookupService>& lus) {
   msg.body = LusAdvertisement{lus, lus->address()};
   msg.payload_bytes = kAnnounceBytes;
   discovery_metrics().announcements.add(1);
-  network_.multicast(discovery_group(), msg);
+  network_.multicast(discovery_group(), std::move(msg));
 }
 
 void DiscoveryManager::start_discovery(DiscoveryListener listener) {
@@ -109,7 +109,7 @@ void DiscoveryManager::start_discovery(DiscoveryListener listener) {
   msg.topic = kTopicRequest;
   msg.payload_bytes = kRequestBytes;
   discovery_started_ = scheduler_.now();
-  network_.multicast(discovery_group(), msg);
+  network_.multicast(discovery_group(), std::move(msg));
 }
 
 void DiscoveryManager::handle_message(const simnet::Message& msg) {

@@ -74,8 +74,15 @@ util::Status Network::send(Message msg) {
     return {util::ErrorCode::kNotFound, "destination not attached"};
   }
   if (!msg.trace.valid()) msg.trace = obs::current_context();
-  charge_and_schedule(msg, msg.destination);
+  charge_and_schedule(std::move(msg));
   return util::Status::ok();
+}
+
+void Network::send_after(util::SimDuration delay, Message msg) {
+  if (!msg.trace.valid()) msg.trace = obs::current_context();
+  const std::uint32_t slot = park(std::move(msg));
+  scheduler_.schedule_after(delay,
+                            [this, slot] { (void)send(unpark(slot)); });
 }
 
 std::size_t Network::multicast(Address group, Message msg) {
@@ -89,7 +96,9 @@ std::size_t Network::multicast(Address group, Message msg) {
   for (Address member : members) {
     if (member == msg.source) continue;
     if (!endpoints_.contains(member)) continue;
-    charge_and_schedule(msg, member);
+    Message copy = msg;
+    copy.destination = member;
+    charge_and_schedule(std::move(copy));
     ++scheduled;
   }
   return scheduled;
@@ -121,35 +130,58 @@ void Network::account_rpc(Address source, Address callee,
   charge(stats_[callee], p, response_bytes, traced);
 }
 
-void Network::charge_and_schedule(const Message& msg, Address dst) {
+void Network::charge_and_schedule(Message msg) {
   charge(stats_[msg.source], msg.protocol, msg.payload_bytes,
          msg.trace.valid());
 
-  if (is_partitioned(msg.source, dst) || rng_.chance(loss_rate_)) {
+  if (is_partitioned(msg.source, msg.destination) ||
+      rng_.chance(loss_rate_)) {
     stats_[msg.source].messages_dropped += 1;
     messages_dropped_.add(1);
     return;
   }
 
-  Message delivered = msg;
-  delivered.destination = dst;
-  scheduler_.schedule_after(delivery_delay(msg.protocol, msg.payload_bytes),
-                            [this, delivered = std::move(delivered), dst]() {
-    auto it = endpoints_.find(dst);
-    if (it == endpoints_.end()) return;  // detached while in flight
-    stats_[dst].messages_received += 1;
-    messages_received_.add(1);
-    if (delivered.trace.valid()) {
-      // The receive side continues the sender's trace: the handler runs
-      // under a hop span so anything it triggers links back to the request.
-      obs::Span span = obs::tracer().start_span("net.recv:" + delivered.topic,
-                                                delivered.trace);
-      obs::ContextGuard guard(span.context());
-      it->second(delivered);
-    } else {
-      it->second(delivered);
-    }
-  });
+  const util::SimDuration delay =
+      delivery_delay(msg.protocol, msg.payload_bytes);
+  const std::uint32_t slot = park(std::move(msg));
+  scheduler_.schedule_after(delay, [this, slot] { deliver(slot); });
+}
+
+std::uint32_t Network::park(Message msg) {
+  if (free_slots_.empty()) {
+    in_flight_.push_back(std::move(msg));
+    return static_cast<std::uint32_t>(in_flight_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  in_flight_[slot] = std::move(msg);
+  return slot;
+}
+
+Message Network::unpark(std::uint32_t slot) {
+  Message msg = std::move(in_flight_[slot]);
+  free_slots_.push_back(slot);
+  return msg;
+}
+
+void Network::deliver(std::uint32_t slot) {
+  // Unpark before dispatch: the handler may send (reusing this slot or
+  // growing the slab), so it gets its own message, not a slab reference.
+  Message msg = unpark(slot);
+  auto it = endpoints_.find(msg.destination);
+  if (it == endpoints_.end()) return;  // detached while in flight
+  stats_[msg.destination].messages_received += 1;
+  messages_received_.add(1);
+  if (msg.trace.valid()) {
+    // The receive side continues the sender's trace: the handler runs
+    // under a hop span so anything it triggers links back to the request.
+    obs::Span span =
+        obs::tracer().start_span("net.recv:" + msg.topic, msg.trace);
+    obs::ContextGuard guard(span.context());
+    it->second(msg);
+  } else {
+    it->second(msg);
+  }
 }
 
 util::SimDuration Network::delivery_delay(Protocol p,

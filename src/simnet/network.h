@@ -7,6 +7,11 @@
 // and partitions. Every delivery is charged protocol-accurate header bytes
 // (see protocol.h), giving the header-overhead and data-flow-reversal
 // benches their measurements.
+//
+// A message moves from sender to receiver and is never copied on the way
+// (multicast copies once per member). While in flight it is parked in a
+// slab the fabric owns and reuses; the scheduled delivery captures only the
+// slot index, so a warm untraced send + deliver allocates nothing here.
 
 #include <any>
 #include <cstdint>
@@ -68,7 +73,9 @@ struct TrafficStats {
 /// counters, and metrics() exposes them for health reports and JSON export.
 class Network {
  public:
-  using Handler = std::function<void(const Message&)>;
+  /// The receiver owns the delivered message for the duration of the call
+  /// and may move out of it (a wire payload buffer, say).
+  using Handler = std::function<void(Message&)>;
 
   explicit Network(util::Scheduler& scheduler, std::uint64_t seed = 42);
 
@@ -118,10 +125,20 @@ class Network {
 
   // --- traffic ------------------------------------------------------------
 
-  /// Send a unicast message; delivery is scheduled after latency().
-  /// Returns kNotFound if the destination is not attached *now* (the caller
-  /// learns nothing about later detaches — like a real datagram).
+  /// Send a unicast message (callers std::move it in); delivery is
+  /// scheduled after latency(). Returns kNotFound if the destination is not
+  /// attached *now* (the caller learns nothing about later detaches — like
+  /// a real datagram).
   util::Status send(Message msg);
+
+  /// send() `msg` once `delay` of virtual time has passed. The message is
+  /// parked in the fabric meanwhile, so its sender may die first.
+  /// Destination, partition, loss and byte charges are all evaluated at
+  /// send time, exactly as for a send() issued at that instant: a
+  /// destination detached during the delay refuses it uncharged, a
+  /// partition drops it charged. The trace header is stamped now, from the
+  /// sender's context, when unset.
+  void send_after(util::SimDuration delay, Message msg);
 
   /// Deliver to every current member of the group except the sender.
   /// Returns the number of deliveries scheduled.
@@ -152,7 +169,14 @@ class Network {
   [[nodiscard]] util::Scheduler& scheduler() { return scheduler_; }
 
  private:
-  void charge_and_schedule(const Message& msg, Address dst);
+  /// Charge `msg` to its source and, unless a partition or loss drops it,
+  /// schedule its delivery to msg.destination.
+  void charge_and_schedule(Message msg);
+  /// Park `msg` in the in-flight slab; returns its slot.
+  std::uint32_t park(Message msg);
+  /// Take the message out of `slot` and free the slot for reuse.
+  Message unpark(std::uint32_t slot);
+  void deliver(std::uint32_t slot);
   void charge(TrafficStats& endpoint, Protocol protocol,
               std::size_t payload_bytes, bool traced);
   [[nodiscard]] bool is_partitioned(Address a, Address b) const;
@@ -168,6 +192,10 @@ class Network {
   std::unordered_map<Address, std::unordered_set<Address>> groups_;
   std::unordered_map<Address, TrafficStats> stats_;
   std::vector<std::pair<Address, Address>> partitions_;
+  // Messages in flight (or waiting out a send_after delay), by slot; freed
+  // slots are reused before the slab grows.
+  std::vector<Message> in_flight_;
+  std::vector<std::uint32_t> free_slots_;
 
   obs::Registry metrics_;
   // Handles into metrics_, resolved once at construction (lock-free updates).

@@ -85,7 +85,7 @@ util::Result<std::shared_ptr<Servicer>> ServiceAccessor::find_servicer(
 
 util::Result<ServiceAccessor::Resolved> ServiceAccessor::resolve(
     const Signature& sig, const std::vector<registry::ServiceId>& exclude) {
-  const std::string key = cache_key(sig);
+  const KeyView key(sig.service_type, sig.provider_name);
   if (exclude.empty()) {
     std::lock_guard lock(mu_);
     auto it = caching_ ? cache_.find(key) : cache_.end();
@@ -120,7 +120,14 @@ util::Result<ServiceAccessor::Resolved> ServiceAccessor::resolve(
       const registry::ServiceId id = item.id;
       std::lock_guard lock(mu_);
       if (caching_ && exclude.empty()) {
-        cache_[key] = CacheSlot{lus, std::move(item)};
+        CacheSlot slot{lus, std::move(item)};
+        if (auto it = cache_.find(key); it != cache_.end()) {
+          it->second = std::move(slot);
+        } else {
+          // A miss is the only place the key's strings are copied.
+          cache_.emplace(CacheKey{sig.service_type, sig.provider_name},
+                         std::move(slot));
+        }
       }
       return Resolved{std::move(servicer), id};
     }

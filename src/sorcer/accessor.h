@@ -9,7 +9,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "registry/discovery.h"
@@ -81,13 +83,27 @@ class ServiceAccessor {
     registry::ServiceItem item;
   };
 
-  static std::string cache_key(const Signature& sig) {
-    return sig.service_type + "|" + sig.provider_name;
-  }
+  /// Cache key: (service type, provider name). A lookup passes a view of
+  /// the signature's own strings through the transparent hash/equality, so
+  /// a cache hit builds no key at all.
+  using CacheKey = std::pair<std::string, std::string>;
+  using KeyView = std::pair<std::string_view, std::string_view>;
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(KeyView k) const {
+      const std::size_t h = std::hash<std::string_view>{}(k.first);
+      return h ^ (std::hash<std::string_view>{}(k.second) +
+                  0x9e3779b97f4a7c15u + (h << 6) + (h >> 2));
+    }
+  };
+  struct KeyEq {
+    using is_transparent = void;
+    bool operator()(KeyView a, KeyView b) const { return a == b; }
+  };
 
   std::mutex mu_;  // guards lookups_ + cache: parallel jobs resolve concurrently
   std::vector<std::weak_ptr<registry::LookupService>> lookups_;
-  std::unordered_map<std::string, CacheSlot> cache_;
+  std::unordered_map<CacheKey, CacheSlot, KeyHash, KeyEq> cache_;
   bool caching_ = true;
   RemoteInvoker* invoker_ = nullptr;
 };

@@ -425,37 +425,25 @@ util::Status decode_context_legacy(const std::uint8_t* data, std::size_t size,
 
 // --- BufferPool --------------------------------------------------------------
 
-std::shared_ptr<BufferPool> BufferPool::make(std::size_t max_retained) {
-  return std::shared_ptr<BufferPool>(new BufferPool(max_retained));
-}
-
-BufferPool::Handle BufferPool::acquire() {
-  std::unique_ptr<WireBuffer> buf;
+WireBuffer BufferPool::acquire() {
   {
     std::lock_guard lock(mu_);
     if (!free_.empty()) {
-      buf = std::move(free_.back());
+      WireBuffer buf = std::move(free_.back());
       free_.pop_back();
+      codec_metrics().pool_reuse.add(1);
+      buf.clear();
+      return buf;
     }
   }
   codec_metrics().pool_acquires.add(1);
-  if (buf) {
-    codec_metrics().pool_reuse.add(1);
-    buf->clear();
-  } else {
-    buf = std::make_unique<WireBuffer>();
-  }
-  std::weak_ptr<BufferPool> weak = weak_from_this();
-  WireBuffer* raw = buf.release();
-  return Handle(raw, [weak](WireBuffer* b) {
-    std::unique_ptr<WireBuffer> owned(b);
-    if (auto pool = weak.lock()) pool->give_back(std::move(owned));
-  });
+  return {};
 }
 
-void BufferPool::give_back(std::unique_ptr<WireBuffer> buf) {
+void BufferPool::release(WireBuffer&& buf) {
+  if (buf.capacity() == 0) return;
   std::lock_guard lock(mu_);
-  if (free_.size() < max_retained_) free_.push_back(std::move(buf));
+  if (free_.size() < kMaxRetained) free_.push_back(std::move(buf));
 }
 
 std::size_t BufferPool::retained() const {

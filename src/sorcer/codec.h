@@ -148,30 +148,29 @@ void encode_context_legacy(const ServiceContext& ctx, WireBuffer& out);
 util::Status decode_context_legacy(const std::uint8_t* data, std::size_t size,
                                    ServiceContext& into);
 
-/// Thread-safe recycling pool for wire payload buffers. acquire() hands out
-/// a cleared buffer whose capacity survives round trips: the handle's
-/// deleter returns the buffer to the pool (up to `max_retained`), or frees
-/// it if the pool died first. invoke.pool_acquires / invoke.pool_reuse
-/// count cold and recycled acquisitions.
-class BufferPool : public std::enable_shared_from_this<BufferPool> {
+/// Thread-safe recycling pool for wire payload buffers. Buffers circulate
+/// by value: acquire() hands out a cleared buffer whose capacity survives
+/// round trips, the buffer travels inside its message, and whoever decodes
+/// it release()s it into *their own* endpoint's pool. A request buffer thus
+/// comes back as the provider's response, and no buffer is ever tied to the
+/// pool it came from. invoke.pool_acquires counts cold acquisitions (a
+/// fresh buffer) and invoke.pool_reuse recycled ones.
+class BufferPool {
  public:
-  using Handle = std::shared_ptr<WireBuffer>;
+  /// Buffers kept for reuse. Above any workload's peak of buffers in
+  /// flight (a 21-CSP composite read keeps 106 requests outstanding), so a
+  /// warm pool never drops a buffer it will need again.
+  static constexpr std::size_t kMaxRetained = 256;
 
-  static std::shared_ptr<BufferPool> make(std::size_t max_retained = 64);
-
-  Handle acquire();
+  WireBuffer acquire();
+  /// Return `buf` for reuse; buffers without capacity are not worth keeping.
+  void release(WireBuffer&& buf);
 
   [[nodiscard]] std::size_t retained() const;
 
  private:
-  explicit BufferPool(std::size_t max_retained)
-      : max_retained_(max_retained) {}
-
-  void give_back(std::unique_ptr<WireBuffer> buf);
-
   mutable std::mutex mu_;
-  std::size_t max_retained_;
-  std::vector<std::unique_ptr<WireBuffer>> free_;
+  std::vector<WireBuffer> free_;
 };
 
 /// The per-endpoint codec state a wire peer (RemoteInvoker, ServiceProvider)
@@ -179,7 +178,7 @@ class BufferPool : public std::enable_shared_from_this<BufferPool> {
 /// decode keyed by source) and the payload-buffer pool. Tables live as long
 /// as the endpoint, which is what keeps interning warm across calls.
 struct WireCodecState {
-  std::shared_ptr<BufferPool> buffers = BufferPool::make();
+  BufferPool buffers;
   std::unordered_map<util::Uuid, PathInternTable> encode;
   std::unordered_map<util::Uuid, PathInternTable> decode;
 };

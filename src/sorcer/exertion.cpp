@@ -1,6 +1,7 @@
 #include "sorcer/exertion.h"
 
 #include <algorithm>
+#include <string>
 
 namespace sensorcer::sorcer {
 
@@ -42,13 +43,23 @@ void Job::conclude() {
     return;
   }
   // The requestor reads one context: child paths merge under
-  // "<child-name>/".
+  // "<child-name>/". Walk entry views and build each key in one reused
+  // buffer, so the merge copies only the values themselves.
+  ServiceContext& merged = context();
+  std::size_t total = merged.size();
+  for (const auto& child : children_) total += child->context().size();
+  merged.reserve(total);
+  std::string key;
   for (const auto& child : children_) {
-    for (const auto& path : child->context().paths()) {
-      auto v = child->context().get(path);
-      if (v.is_ok()) {
-        context().put(child->name() + "/" + path, std::move(v).value());
-      }
+    const ServiceContext& from = child->context();
+    key.assign(child->name());
+    key += '/';
+    const std::size_t prefix = key.size();
+    for (std::size_t i = 0; i < from.size(); ++i) {
+      const ServiceContext::EntryView e = from.entry_at(i);
+      key.resize(prefix);
+      key += e.path;
+      merged.put(key, e.value);
     }
   }
   set_status(ExertStatus::kDone);

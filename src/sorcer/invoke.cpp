@@ -60,41 +60,87 @@ RemoteInvoker::PumpGuard::~PumpGuard() {
 
 RemoteInvoker::RemoteInvoker(simnet::Network& net, InvokeConfig config)
     : net_(net), config_(config), addr_(util::new_uuid()) {
-  net_.attach(addr_, [this](const simnet::Message& msg) { on_message(msg); });
+  net_.attach(addr_, [this](simnet::Message& msg) { on_message(msg); });
 }
 
 RemoteInvoker::~RemoteInvoker() { net_.detach(addr_); }
 
-void RemoteInvoker::on_message(const simnet::Message& msg) {
+std::uint64_t RemoteInvoker::open_call() {
+  std::uint32_t index = 0;
+  if (free_calls_.empty()) {
+    index = static_cast<std::uint32_t>(calls_.size());
+    calls_.emplace_back();
+  } else {
+    index = free_calls_.back();
+    free_calls_.pop_back();
+  }
+  CallSlot& slot = calls_[index];
+  slot.call_id = (next_serial_++ << 32) | index;
+  slot.landed = false;
+  ++awaiting_;
+  invoke_metrics().outstanding.set(static_cast<double>(awaiting_));
+  return slot.call_id;
+}
+
+RemoteInvoker::CallSlot* RemoteInvoker::find_call(std::uint64_t call_id) {
+  const auto index = static_cast<std::uint32_t>(call_id);
+  if (call_id == 0 || index >= calls_.size() ||
+      calls_[index].call_id != call_id) {
+    return nullptr;
+  }
+  return &calls_[index];
+}
+
+void RemoteInvoker::close_call(std::uint64_t call_id) {
+  CallSlot* slot = find_call(call_id);
+  if (slot == nullptr) return;
+  if (!slot->landed) {
+    --awaiting_;
+    invoke_metrics().outstanding.set(static_cast<double>(awaiting_));
+  }
+  slot->call_id = 0;
+  free_calls_.push_back(static_cast<std::uint32_t>(call_id));
+}
+
+void RemoteInvoker::on_message(simnet::Message& msg) {
   if (msg.topic != wire::kResponseTopic && msg.topic != wire::kPongTopic) {
     return;
   }
-  const auto* rsp = std::any_cast<wire::Response>(&msg.body);
+  auto* rsp = std::any_cast<wire::Response>(&msg.body);
   if (rsp == nullptr) return;
-  if (pending_.erase(rsp->call_id) == 0) {
+  CallSlot* slot = find_call(rsp->call_id);
+  if (slot == nullptr || slot->landed) {
     // The call already timed out and gave up on this id.
     invoke_metrics().late_responses.add(1);
+    codec_.buffers.release(std::move(rsp->payload));
     return;
   }
-  invoke_metrics().outstanding.set(static_cast<double>(pending_.size()));
+  slot->landed = true;
+  --awaiting_;
+  invoke_metrics().outstanding.set(static_cast<double>(awaiting_));
   // Stamp the arrival time: an outer pump frame may gather this response
   // later in virtual time, and the call's RTT must not include that gap.
-  // The payload handle rides along so a late harvest can still unmarshal;
+  // The payload moves into the row so a late harvest can still unmarshal;
   // the source address selects the per-provider decode intern table.
-  done_.emplace(rsp->call_id, Arrival{rsp->transport_status,
-                                      net_.scheduler().now(), rsp->payload,
-                                      msg.source});
+  slot->arrival.status = std::move(rsp->transport_status);
+  slot->arrival.at = net_.scheduler().now();
+  slot->arrival.payload = std::move(rsp->payload);
+  slot->arrival.from = msg.source;
 }
 
 bool RemoteInvoker::pump_until(std::uint64_t call_id, util::SimTime deadline) {
   PumpGuard guard(*this);
   util::Scheduler& sched = net_.scheduler();
+  const auto landed = [this, call_id] {
+    const CallSlot* slot = find_call(call_id);
+    return slot != nullptr && slot->landed;
+  };
   // Step event-by-event so the clock never overshoots the deadline while a
   // response is still in flight. Nested calls (a provider invoking
-  // downstream mid-dispatch) pump the same scheduler recursively; lookups
-  // into done_ re-check after every step because a nested pump may have
-  // completed this call already.
-  while (!done_.contains(call_id) && sched.now() < deadline) {
+  // downstream mid-dispatch) pump the same scheduler recursively; the call
+  // table is re-checked after every step because a nested pump may have
+  // landed this call already.
+  while (!landed() && sched.now() < deadline) {
     const util::SimTime next = sched.next_event_time();
     if (next > deadline) {
       // Nothing on the fabric can complete this call in time; fast-forward
@@ -106,7 +152,7 @@ bool RemoteInvoker::pump_until(std::uint64_t call_id, util::SimTime deadline) {
     }
     sched.run_until(next);
   }
-  return done_.contains(call_id);
+  return landed();
 }
 
 util::Result<ExertionPtr> RemoteInvoker::invoke(
@@ -185,7 +231,6 @@ PendingCall RemoteInvoker::begin_invoke(
   // provider-side dispatch span links under it.
   obs::ContextGuard guard(call.span_.context());
 
-  call.call_id_ = next_call_id_++;
   call.started_ = sched.now();
   call.deadline_ = call.started_ + config_.call_timeout;
   call.accrued_before_ = exertion->latency();
@@ -195,18 +240,19 @@ PendingCall RemoteInvoker::begin_invoke(
   // buffer. The fabric charges the encoding's actual size (paths collapse to
   // interned ids once this destination's table is warm), and the provider
   // decodes the buffer back into the exertion before dispatch.
-  BufferPool::Handle payload = codec_.buffers->acquire();
+  WireBuffer payload = codec_.buffers.acquire();
   {
     MarshalTimer timer;
     encode_context(exertion->context(),
-                   codec_.encode[provider->network_address()], *payload);
+                   codec_.encode[provider->network_address()], payload);
   }
 
   simnet::Message req;
   req.source = addr_;
   req.destination = provider->network_address();
   req.topic = wire::kRequestTopic;
-  req.payload_bytes = payload->size() + wire::kFlatRequestEnvelopeBytes;
+  req.payload_bytes = payload.size() + wire::kFlatRequestEnvelopeBytes;
+  call.call_id_ = open_call();
   wire::Request body{call.call_id_, addr_, exertion, txn, std::move(payload)};
   // Re-armed on every failed decode, so a lost flagged request just means
   // the next retry carries the flag again.
@@ -215,7 +261,8 @@ PendingCall RemoteInvoker::begin_invoke(
   req.body = std::move(body);
   req.protocol = simnet::Protocol::kTcp;
 
-  if (util::Status sent = net_.send(req); !sent.is_ok()) {
+  if (util::Status sent = net_.send(std::move(req)); !sent.is_ok()) {
+    close_call(call.call_id_);
     call.span_.set_ok(false);
     call.span_.finish();
     exertion->set_error({util::ErrorCode::kUnavailable,
@@ -227,12 +274,10 @@ PendingCall RemoteInvoker::begin_invoke(
     call.result_.emplace(util::Result<ExertionPtr>(exertion));
     return call;
   }
-  pending_.insert(call.call_id_);
-  invoke_metrics().outstanding.set(static_cast<double>(pending_.size()));
   return call;
 }
 
-void RemoteInvoker::finish_call(PendingCall& call, const Arrival* arrival) {
+void RemoteInvoker::finish_call(PendingCall& call, Arrival* arrival) {
   if (arrival != nullptr) {
     // The round trip advanced the virtual clock by the real wire delays
     // plus the provider's modeled service time; top the exertion's latency
@@ -252,13 +297,13 @@ void RemoteInvoker::finish_call(PendingCall& call, const Arrival* arrival) {
       // retry re-defines every path inline.
       codec_.encode[arrival->from].reset();
     }
-    if (transport_status.is_ok() && arrival->payload) {
+    if (transport_status.is_ok() && !arrival->payload.empty()) {
       // Merge the provider's outputs back into the exertion's context — the
       // requestor-side half of the real codec work the payload_bytes charge
       // was sized from. Inputs the reply omits stay as they are.
       MarshalTimer timer;
       transport_status =
-          decode_context(arrival->payload->data(), arrival->payload->size(),
+          decode_context(arrival->payload.data(), arrival->payload.size(),
                          codec_.decode[arrival->from],
                          call.exertion_->context(), Leg::kReply);
       if (transport_status.code() == util::ErrorCode::kCodecDesync) {
@@ -267,6 +312,7 @@ void RemoteInvoker::finish_call(PendingCall& call, const Arrival* arrival) {
         reply_reset_.insert(arrival->from);
       }
     }
+    codec_.buffers.release(std::move(arrival->payload));
     if (!transport_status.is_ok()) {
       call.span_.set_ok(false);
       // Mark the exertion too: the retry/substitution machinery keys off
@@ -278,12 +324,11 @@ void RemoteInvoker::finish_call(PendingCall& call, const Arrival* arrival) {
       call.result_.emplace(util::Result<ExertionPtr>(call.exertion_));
     }
   } else {
-    // Deadline expired: leave the pending set so a late response is dropped
+    // Deadline expired: close the call's row so a late response is dropped
     // and counted. At-most-once from the requestor's view — the request (or
     // its response) was lost to the fabric; the provider may still have
     // executed.
-    pending_.erase(call.call_id_);
-    invoke_metrics().outstanding.set(static_cast<double>(pending_.size()));
+    close_call(call.call_id_);
     invoke_metrics().timeouts.add(1);
     call.span_.set_ok(false);
     call.exertion_->set_error(
@@ -311,9 +356,10 @@ void RemoteInvoker::pump_until_all(std::span<PendingCall* const> calls) {
     util::SimTime earliest = util::kNever;
     for (PendingCall* call : calls) {
       if (call == nullptr || call->completed_) continue;
-      if (auto it = done_.find(call->call_id_); it != done_.end()) {
-        const Arrival arrival = std::move(it->second);
-        done_.erase(it);
+      if (CallSlot* slot = find_call(call->call_id_);
+          slot != nullptr && slot->landed) {
+        Arrival arrival = std::move(slot->arrival);
+        close_call(call->call_id_);
         finish_call(*call, &arrival);
         gathered_rtt += call->elapsed_;
         ++gathered;
@@ -358,7 +404,7 @@ util::Status RemoteInvoker::ping(simnet::Address target,
                                  util::SimDuration timeout) {
   invoke_metrics().pings.add(1);
   util::Scheduler& sched = net_.scheduler();
-  const std::uint64_t call_id = next_call_id_++;
+  const std::uint64_t call_id = open_call();
 
   simnet::Message msg;
   msg.source = addr_;
@@ -371,22 +417,21 @@ util::Status RemoteInvoker::ping(simnet::Address target,
   msg.payload_bytes = wire::kPingBytes;
   msg.protocol = simnet::Protocol::kUdp;
 
-  pending_.insert(call_id);
-  if (util::Status sent = net_.send(msg); !sent.is_ok()) {
-    pending_.erase(call_id);
+  if (util::Status sent = net_.send(std::move(msg)); !sent.is_ok()) {
+    close_call(call_id);
     invoke_metrics().ping_failures.add(1);
     return sent;
   }
   const util::SimDuration budget =
       timeout > 0 ? timeout : config_.ping_timeout;
-  if (!pump_until(call_id, sched.now() + budget)) {
-    pending_.erase(call_id);
+  const bool ponged = pump_until(call_id, sched.now() + budget);
+  close_call(call_id);
+  if (!ponged) {
     invoke_metrics().ping_failures.add(1);
     return {util::ErrorCode::kTimeout,
             "no pong from " + target.to_string() + " within " +
                 util::format_duration(budget)};
   }
-  done_.erase(call_id);
   return util::Status::ok();
 }
 

@@ -32,7 +32,6 @@
 #include <span>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -72,16 +71,17 @@ inline constexpr std::size_t kFlatRequestEnvelopeBytes = 28;
 inline constexpr std::size_t kFlatResponseEnvelopeBytes = 12;
 
 /// Request body: the exertion rides by reference; `payload` is the
-/// flat-codec encoding of its context (a pooled buffer — what the fabric's
-/// payload_bytes charge is sized from). The provider decodes it into the
-/// exertion's context before dispatch, which is the real marshalling work
-/// a serialized transport would do.
+/// flat-codec encoding of its context (what the fabric's payload_bytes
+/// charge is sized from), carried by value. The provider decodes it into
+/// the exertion's context before dispatch, which is the real marshalling
+/// work a serialized transport would do, then recycles the buffer into its
+/// own BufferPool.
 struct Request {
   std::uint64_t call_id = 0;
   simnet::Address reply_to;
   ExertionPtr exertion;
   registry::Transaction* txn = nullptr;
-  BufferPool::Handle payload;
+  WireBuffer payload;
   /// Loss recovery: the requestor failed to decode an earlier response
   /// (a definition-bearing message was dropped) — the provider must reset
   /// its response-intern table for reply_to before encoding.
@@ -91,11 +91,11 @@ struct Request {
 /// Response body. `transport_status` reports dispatch-layer failures only;
 /// application failures travel inside the exertion itself. `payload` is the
 /// flat-codec encoding of the post-dispatch context, decoded requestor-side
-/// on gather.
+/// on gather and then recycled into the requestor's BufferPool.
 struct Response {
   std::uint64_t call_id = 0;
   util::Status transport_status = util::Status::ok();
-  BufferPool::Handle payload;
+  WireBuffer payload;
 };
 }  // namespace wire
 
@@ -114,7 +114,7 @@ struct InvokeConfig {
 /// One scattered invocation, owned by its issuer until gathered through
 /// pump_until_all(). A call that never crossed the fabric — null input, an
 /// unreachable target — is born completed with its result already in
-/// place. Move-only: the invoker keeps only the call id in its pending set;
+/// place. Move-only: the invoker keeps only the call id in its call table;
 /// the handle is the sole completion slot.
 class PendingCall {
  public:
@@ -228,18 +228,36 @@ class RemoteInvoker {
   struct Arrival {
     util::Status status;
     util::SimTime at = 0;
-    BufferPool::Handle payload;
+    WireBuffer payload;
     simnet::Address from;
   };
 
+  /// One row of the flat call table. A row is open from send until its
+  /// call is gathered, timed out or abandoned; `landed` marks a response
+  /// that arrived and waits in `arrival` for its issuer's harvest. Rows are
+  /// reused, so a warm call allocates nothing here.
+  struct CallSlot {
+    std::uint64_t call_id = 0;  // 0 = free
+    bool landed = false;
+    Arrival arrival;
+  };
+
+  /// Open a row and return its call id. The id's low 32 bits index
+  /// calls_; the high bits are a serial that never repeats, so a late
+  /// response for a recycled row is recognised as stale.
+  std::uint64_t open_call();
+  /// The open row for `call_id`, or null when it was closed.
+  CallSlot* find_call(std::uint64_t call_id);
+  void close_call(std::uint64_t call_id);
+
   /// Complete `call` from its arrived response (latency top-up from the
   /// response's arrival time, not the harvest time — an outer pump frame may
-  /// gather it later; payload decoded into the exertion's context) or, when
-  /// `arrival` is null, from deadline expiry.
-  void finish_call(PendingCall& call, const Arrival* arrival);
-  void on_message(const simnet::Message& msg);
-  /// Pump the fabric until `call_id` completes or `deadline` passes.
-  /// Returns true on completion.
+  /// gather it later; payload decoded into the exertion's context and
+  /// recycled) or, when `arrival` is null, from deadline expiry.
+  void finish_call(PendingCall& call, Arrival* arrival);
+  void on_message(simnet::Message& msg);
+  /// Pump the fabric until `call_id` lands or `deadline` passes.
+  /// Returns true when it landed.
   bool pump_until(std::uint64_t call_id, util::SimTime deadline);
 
   /// A recycled call shell, or a fresh one when the pool is dry.
@@ -248,9 +266,10 @@ class RemoteInvoker {
   simnet::Network& net_;
   InvokeConfig config_;
   simnet::Address addr_;
-  std::uint64_t next_call_id_ = 1;
-  std::unordered_set<std::uint64_t> pending_;
-  std::unordered_map<std::uint64_t, Arrival> done_;
+  std::uint64_t next_serial_ = 1;
+  std::vector<CallSlot> calls_;
+  std::vector<std::uint32_t> free_calls_;
+  std::size_t awaiting_ = 0;  // open rows whose response has not landed
   WireCodecState codec_;
   // Providers whose response-intern stream we could not decode (a
   // definition-bearing response was lost): the next request to each carries

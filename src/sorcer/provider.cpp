@@ -64,10 +64,10 @@ void ServiceProvider::attach_network(simnet::Network& net) {
   if (net_addr_.is_nil()) net_addr_ = util::new_uuid();
   if (!codec_) codec_ = std::make_unique<WireCodecState>();
   net.attach(net_addr_,
-             [this](const simnet::Message& msg) { handle_network_message(msg); });
+             [this](simnet::Message& msg) { handle_network_message(msg); });
 }
 
-void ServiceProvider::handle_network_message(const simnet::Message& msg) {
+void ServiceProvider::handle_network_message(simnet::Message& msg) {
   if (net_ == nullptr) return;
 
   if (msg.topic == wire::kPingTopic) {
@@ -82,12 +82,12 @@ void ServiceProvider::handle_network_message(const simnet::Message& msg) {
     pong.body = std::move(body);
     pong.payload_bytes = wire::kPingBytes;
     pong.protocol = simnet::Protocol::kUdp;
-    (void)net_->send(pong);
+    (void)net_->send(std::move(pong));
     return;
   }
 
   if (msg.topic != wire::kRequestTopic) return;
-  const auto* req = std::any_cast<wire::Request>(&msg.body);
+  auto* req = std::any_cast<wire::Request>(&msg.body);
   if (req == nullptr || !req->exertion) return;
 
   if (req->reset_reply_interning) {
@@ -105,11 +105,14 @@ void ServiceProvider::handle_network_message(const simnet::Message& msg) {
   // the provider-side half of the codec work the request's payload_bytes
   // charge was sized from. A malformed payload is a transport failure: the
   // operation never runs and the requestor sees the decode status.
-  if (req->payload) {
+  if (!req->payload.empty()) {
     MarshalTimer timer;
     util::Status decoded = decode_context(
-        req->payload->data(), req->payload->size(), codec_->decode[msg.source],
+        req->payload.data(), req->payload.size(), codec_->decode[msg.source],
         req->exertion->context());
+    // The request buffer is ours now; it comes back out of the pool as
+    // this call's response buffer.
+    codec_->buffers.release(std::move(req->payload));
     if (!decoded.is_ok()) {
       simnet::Message err;
       err.source = net_addr_;
@@ -122,7 +125,7 @@ void ServiceProvider::handle_network_message(const simnet::Message& msg) {
       err.payload_bytes = wire::kFlatResponseEnvelopeBytes;
       err.protocol = simnet::Protocol::kTcp;
       err.trace = obs::current_context();
-      (void)net_->send(err);
+      (void)net_->send(std::move(err));
       return;
     }
   }
@@ -133,40 +136,35 @@ void ServiceProvider::handle_network_message(const simnet::Message& msg) {
   // merges them into its context on gather (it still holds the inputs, so
   // they are not echoed). The response's intern table is keyed by the
   // requestor endpoint, so repeated calls from one peer shrink to ids.
-  BufferPool::Handle payload = codec_->buffers->acquire();
+  WireBuffer payload = codec_->buffers.acquire();
   {
     MarshalTimer timer;
     encode_context(req->exertion->context(), codec_->encode[req->reply_to],
-                   *payload, Leg::kReply);
+                   payload, Leg::kReply);
   }
 
   simnet::Message rsp;
   rsp.source = net_addr_;
   rsp.destination = req->reply_to;
   rsp.topic = wire::kResponseTopic;
-  rsp.payload_bytes = payload->size() + wire::kFlatResponseEnvelopeBytes;
+  rsp.payload_bytes = payload.size() + wire::kFlatResponseEnvelopeBytes;
   rsp.body = wire::Response{
       req->call_id, result.is_ok() ? util::Status::ok() : result.status(),
       std::move(payload)};
   rsp.protocol = simnet::Protocol::kTcp;
-  // The deferred send below runs from a bare scheduler callback with no
-  // thread-local trace; stamp the propagation header now.
-  rsp.trace = obs::current_context();
 
   // The exertion's latency account says how long the dispatch *should* have
   // taken; nested wire hops already advanced the virtual clock by some of
   // that. Hold the response back for the remainder so the requestor
-  // observes the modeled service time end to end.
+  // observes the modeled service time end to end. The fabric parks a
+  // deferred response itself, so the provider may be gone by send time.
   const util::SimDuration modeled = req->exertion->latency() - accrued_before;
   const util::SimDuration elapsed = sched.now() - started;
   const util::SimDuration defer = modeled > elapsed ? modeled - elapsed : 0;
   if (defer > 0) {
-    // Capture the network by value, not `this`: the provider may be gone by
-    // send time (its endpoint detached; the fabric outlives providers).
-    simnet::Network* net = net_;
-    sched.schedule_after(defer, [net, rsp] { (void)net->send(rsp); });
+    net_->send_after(defer, std::move(rsp));
   } else {
-    (void)net_->send(rsp);
+    (void)net_->send(std::move(rsp));
   }
 }
 

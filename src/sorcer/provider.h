@@ -133,7 +133,7 @@ class ServiceProvider : public Servicer,
  private:
   /// Endpoint handler installed by attach_network: executes wire requests
   /// and answers liveness pings.
-  void handle_network_message(const simnet::Message& msg);
+  void handle_network_message(simnet::Message& msg);
 
   struct OpRecord {
     Operation fn;
@@ -156,8 +156,9 @@ class ServiceProvider : public Servicer,
   std::uint64_t invocations_ = 0;
   simnet::Network* net_ = nullptr;
   simnet::Address net_addr_;
-  /// Wire-path codec state: per-requestor intern tables plus the response
-  /// payload buffer pool. Allocated on first fabric attachment.
+  /// Wire-path codec state: per-requestor intern tables plus the buffer
+  /// pool that decoded request payloads recycle into and responses draw
+  /// from. Allocated on first fabric attachment.
   std::unique_ptr<WireCodecState> codec_;
 };
 

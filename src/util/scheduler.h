@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "util/sim_time.h"
@@ -32,7 +31,7 @@ class Scheduler {
   /// empty. Lets a blocking caller (e.g. an RPC awaiting its response) pump
   /// the queue event-by-event up to a deadline without overshooting it.
   [[nodiscard]] SimTime next_event_time() const {
-    return queue_.empty() ? kNever : queue_.begin()->first.first;
+    return heap_.empty() ? kNever : heap_.front().when;
   }
 
   /// Run `fn` at absolute virtual time `when` (clamped to now).
@@ -63,29 +62,37 @@ class Scheduler {
   std::size_t run_ready() { return run_until(now_); }
 
   /// Events still queued (recurring series count as one).
-  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
 
   /// Total events fired since construction.
   [[nodiscard]] std::uint64_t fired_count() const { return fired_; }
 
  private:
   struct Event {
+    SimTime when;
+    std::uint64_t seq;  // scheduling order: FIFO among equal timestamps
     TimerId id;
+    SimDuration period;  // >0 for recurring events
     std::function<void()> fn;
-    SimDuration period = 0;  // >0 for recurring events
   };
 
-  // Key is (time, sequence) so equal-time events fire in scheduling order.
-  using Key = std::pair<SimTime, std::uint64_t>;
+  static bool earlier(const Event& a, const Event& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
+  void push(Event ev);
+  /// Unlink heap_[i], restore the heap property, and hand the event back so
+  /// the caller destroys it only once the queue is consistent again.
+  Event take(std::size_t i);
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
 
   SimTime now_ = 0;
   std::uint64_t seq_ = 0;
   TimerId next_id_ = 1;
   std::uint64_t fired_ = 0;
-  std::map<Key, Event> queue_;
-  std::vector<TimerId> cancelled_;  // lazily honoured for recurring events
-
-  bool is_cancelled(TimerId id);
+  // Binary min-heap on (when, seq). The vector keeps its capacity, so a
+  // warm schedule/fire cycle allocates nothing here.
+  std::vector<Event> heap_;
 };
 
 }  // namespace sensorcer::util

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <any>
+#include <string>
+#include <vector>
+
 #include "simnet/network.h"
 #include "util/scheduler.h"
 
@@ -285,6 +289,88 @@ TEST(Bandwidth, SerializationDelayProportionalToWireBytes) {
   EXPECT_EQ(net.delivery_delay(Protocol::kUdp, kMtuPayload), 100 + 1466);
   // Small messages barely pay anything beyond propagation.
   EXPECT_LT(net.delivery_delay(Protocol::kUdp, 8), 100 + 100);
+}
+
+// --- fabric-owned messages ------------------------------------------------------
+
+TEST_F(NetworkTest, HandlerCanSendWhileItsOwnMessageIsDelivered) {
+  // The receiver owns its message for the call, so sends from inside the
+  // handler — enough to reuse the delivering slot and grow the in-flight
+  // slab — leave it intact.
+  const std::string body(64, 'x');  // heap-backed: a dangling copy would show
+  int echoes = 0;
+  net.attach(a, [&](const Message& m) {
+    EXPECT_EQ(m.topic, "echo");
+    ++echoes;
+  });
+  net.attach(b, [&](Message& m) {
+    for (int i = 0; i < 16; ++i) {
+      Message echo;
+      echo.source = b;
+      echo.destination = a;
+      echo.topic = "echo";
+      echo.body = std::any_cast<std::string>(m.body);
+      ASSERT_TRUE(net.send(std::move(echo)).is_ok());
+      EXPECT_EQ(m.topic, "ping");
+      EXPECT_EQ(std::any_cast<const std::string&>(m.body), body);
+    }
+  });
+  Message ping;
+  ping.source = a;
+  ping.destination = b;
+  ping.topic = "ping";
+  ping.body = body;
+  ASSERT_TRUE(net.send(std::move(ping)).is_ok());
+  sched.run_for(util::kSecond);
+  EXPECT_EQ(echoes, 16);
+  EXPECT_EQ(net.totals().messages_received, 17u);
+}
+
+TEST_F(NetworkTest, SendAfterEvaluatesTheDestinationAtSendTime) {
+  int got = 0;
+  net.attach(b, [&](const Message&) { ++got; });
+  Message msg;
+  msg.source = a;
+  msg.destination = b;
+  msg.payload_bytes = 100;
+  net.send_after(1000, msg);
+  sched.schedule_after(500, [&] { net.detach(b); });
+  sched.run_for(400);
+  EXPECT_EQ(net.totals().messages_sent, 0u);  // nothing charged yet
+  sched.run_for(util::kSecond);
+  // Detached during the delay: refused at send time, uncharged, undelivered.
+  EXPECT_EQ(got, 0);
+  EXPECT_EQ(net.totals().messages_sent, 0u);
+  EXPECT_EQ(net.totals().messages_dropped, 0u);
+
+  // The converse: not attached when deferred, attached by send time.
+  const Address c = util::new_uuid();
+  int got_c = 0;
+  msg.destination = c;
+  net.send_after(1000, msg);
+  sched.schedule_after(500, [&] {
+    net.attach(c, [&](const Message&) { ++got_c; });
+  });
+  sched.run_for(util::kSecond);
+  EXPECT_EQ(got_c, 1);
+  EXPECT_EQ(net.totals().messages_sent, 1u);
+}
+
+TEST_F(NetworkTest, SendAfterIntoAPartitionIsChargedAndDroppedAtSendTime) {
+  int got = 0;
+  net.attach(b, [&](const Message&) { ++got; });
+  Message msg;
+  msg.source = a;
+  msg.destination = b;
+  msg.payload_bytes = 100;
+  msg.protocol = Protocol::kTcp;
+  net.send_after(1000, std::move(msg));
+  sched.schedule_after(500, [&] { net.partition(a, b); });
+  sched.run_for(util::kSecond);
+  EXPECT_EQ(got, 0);
+  EXPECT_EQ(net.totals().messages_sent, 1u);
+  EXPECT_EQ(net.totals().messages_dropped, 1u);
+  EXPECT_EQ(net.totals().wire_bytes_sent(), wire_bytes(Protocol::kTcp, 100));
 }
 
 TEST(Bandwidth, DeliveryTimeReflectsMessageSize) {

@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
+#include <map>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/ids.h"
 #include "util/log.h"
@@ -380,6 +386,288 @@ TEST(Scheduler, FiredCountAccumulates) {
   sched.run_until(100);
   EXPECT_EQ(sched.fired_count(), 5u);
 }
+
+TEST(Scheduler, DestructorUnlinksEachEventBeforeDestroyingIt) {
+  // A queued callable whose destructor re-enters the scheduler (the last
+  // reference to an object that cancels its timers on the way out) must
+  // find a consistent queue.
+  struct Reentrant {
+    Scheduler* sched;
+    TimerId other;
+    std::shared_ptr<int> alive = std::make_shared<int>(0);
+    ~Reentrant() {
+      if (alive.use_count() == 1) (void)sched->cancel(other);
+    }
+    void operator()() const {}
+  };
+  auto sched = std::make_unique<Scheduler>();
+  const TimerId first = sched->schedule_at(50, [] {});
+  // Event i cancels event i + 1 as it dies, which cancels the next, ...
+  for (int i = 0; i < 8; ++i) {
+    sched->schedule_at(100 + i, Reentrant{sched.get(), first + 2 + i});
+  }
+  sched.reset();  // ASan-checked: no use of a half-destroyed queue
+  SUCCEED();
+}
+
+// --- Scheduler vs a reference model -----------------------------------------
+//
+// A seeded random walk drives the heap scheduler and a reference model side
+// by side. The model is the ordering contract written out with a
+// std::multimap keyed by (when, seq). What each fired callback does —
+// cancel its own series, pump the scheduler recursively, schedule more work
+// — comes from one per-token script that both sides replay, and after every
+// op the fire logs, clocks and queue observers must agree. A divergence
+// prints the seed's op trace.
+
+enum class Act { kNone, kCancelSelf, kNested, kSchedule };
+struct Script {
+  Act act = Act::kNone;
+  SimDuration arg = 0;
+};
+
+class ModelScheduler {
+ public:
+  std::function<void(int)> on_fire;
+
+  [[nodiscard]] SimTime now() const { return now_; }
+  [[nodiscard]] SimTime next_event_time() const {
+    return queue_.empty() ? kNever : queue_.begin()->first.first;
+  }
+  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+  [[nodiscard]] std::uint64_t fired_count() const { return fired_; }
+
+  TimerId schedule_at(SimTime when, int token) {
+    return add(std::max(when, now_), token, 0);
+  }
+  TimerId schedule_after(SimDuration delay, int token) {
+    return schedule_at(now_ + (delay < 0 ? 0 : delay), token);
+  }
+  TimerId schedule_every(SimDuration period, int token) {
+    if (period <= 0) period = 1;
+    return add(now_ + period, token, period);
+  }
+  bool cancel(TimerId id) {
+    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+      if (it->second.id == id) {
+        queue_.erase(it);
+        return true;
+      }
+    }
+    return false;
+  }
+  std::size_t run_until(SimTime deadline) {
+    std::size_t count = 0;
+    while (!queue_.empty() && queue_.begin()->first.first <= deadline) {
+      auto it = queue_.begin();
+      now_ = std::max(now_, it->first.first);
+      const Event ev = it->second;
+      queue_.erase(it);
+      if (ev.period > 0) queue_.emplace(Key{now_ + ev.period, seq_++}, ev);
+      on_fire(ev.token);
+      ++fired_;
+      ++count;
+    }
+    now_ = std::max(now_, deadline);
+    return count;
+  }
+
+ private:
+  struct Event {
+    TimerId id;
+    int token;
+    SimDuration period;
+  };
+  using Key = std::pair<SimTime, std::uint64_t>;
+
+  TimerId add(SimTime when, int token, SimDuration period) {
+    const TimerId id = next_id_++;
+    queue_.emplace(Key{when, seq_++}, Event{id, token, period});
+    return id;
+  }
+
+  SimTime now_ = 0;
+  std::uint64_t seq_ = 0;
+  TimerId next_id_ = 1;
+  std::uint64_t fired_ = 0;
+  std::multimap<Key, Event> queue_;
+};
+
+/// The real scheduler behind the model's token-based interface.
+class RealScheduler {
+ public:
+  std::function<void(int)> on_fire;
+
+  [[nodiscard]] SimTime now() const { return sched_.now(); }
+  [[nodiscard]] SimTime next_event_time() const {
+    return sched_.next_event_time();
+  }
+  [[nodiscard]] std::size_t pending() const { return sched_.pending(); }
+  [[nodiscard]] std::uint64_t fired_count() const {
+    return sched_.fired_count();
+  }
+  TimerId schedule_at(SimTime when, int token) {
+    return sched_.schedule_at(when, [this, token] { on_fire(token); });
+  }
+  TimerId schedule_after(SimDuration delay, int token) {
+    return sched_.schedule_after(delay, [this, token] { on_fire(token); });
+  }
+  TimerId schedule_every(SimDuration period, int token) {
+    return sched_.schedule_every(period, [this, token] { on_fire(token); });
+  }
+  bool cancel(TimerId id) { return sched_.cancel(id); }
+  std::size_t run_until(SimTime deadline) { return sched_.run_until(deadline); }
+
+ private:
+  Scheduler sched_;
+};
+
+/// One side of the comparison: a scheduler plus the log its callbacks
+/// write while replaying the shared script.
+template <class Sched>
+struct Side {
+  explicit Side(std::vector<Script>& script) : script(script) {
+    sched.on_fire = [this](int token) { fire(token); };
+  }
+  Side(const Side&) = delete;
+  Side& operator=(const Side&) = delete;
+
+  void note(const std::string& line) { log.push_back(line); }
+
+  void fire(int token) {
+    note("fire " + std::to_string(token) + " @" +
+         std::to_string(sched.now()));
+    const Script s = script[static_cast<std::size_t>(token)];
+    switch (s.act) {
+      case Act::kNone:
+        break;
+      case Act::kCancelSelf:
+        if (++fires[token] == s.arg) {
+          note(" cancel self -> " + std::to_string(sched.cancel(ids[token])));
+        }
+        break;
+      case Act::kNested:
+        note(" nested run_until fired " +
+             std::to_string(sched.run_until(sched.now() + s.arg)));
+        break;
+      case Act::kSchedule: {
+        // Children replay no action, so both sides grow the script alike.
+        const int child = static_cast<int>(script.size());
+        script.push_back({});
+        ids[child] = sched.schedule_after(s.arg, child);
+        note(" child " + std::to_string(child) + " id " +
+             std::to_string(ids[child]));
+        break;
+      }
+    }
+  }
+
+  Sched sched;
+  std::vector<Script>& script;
+  std::vector<std::string> log;
+  std::map<int, TimerId> ids;
+  std::map<int, SimDuration> fires;
+};
+
+class SchedulerModelTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SchedulerModelTest, HeapMatchesMultimapModel) {
+  Rng rng(GetParam());
+  // Each side appends children to its own copy of the script; the two
+  // copies stay identical exactly as long as the sides agree.
+  std::vector<Script> real_script;
+  std::vector<Script> model_script;
+  Side<RealScheduler> real(real_script);
+  Side<ModelScheduler> model(model_script);
+  std::vector<std::string> ops;
+
+  const auto dump = [&] {
+    std::string out = "seed " + std::to_string(GetParam()) + " op trace:\n";
+    for (const auto& op : ops) out += "  " + op + "\n";
+    return out;
+  };
+  const auto new_token = [&](bool recurring) {
+    Script s;
+    const double dice = rng.next_double();
+    if (dice < 0.15) {
+      s = {Act::kCancelSelf, rng.between(1, 3)};
+    } else if (dice < 0.27 && !recurring) {
+      // A recurring nested pump would re-fire itself forever.
+      s = {Act::kNested, rng.between(0, 300)};
+    } else if (dice < 0.40) {
+      s = {Act::kSchedule, rng.between(0, 300)};
+    }
+    real_script.push_back(s);
+    model_script.push_back(s);
+    return static_cast<int>(real_script.size() - 1);
+  };
+  const auto offset = [](SimDuration d) {
+    return (d < 0 ? "" : "+") + std::to_string(d);
+  };
+  const auto known_id = [&]() -> TimerId {
+    if (real.ids.empty() || rng.chance(0.05)) return 1'000'000;  // unknown
+    auto it = real.ids.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(rng.below(real.ids.size())));
+    return it->second;
+  };
+
+  for (int step = 0; step < 300; ++step) {
+    std::string op;
+    std::string real_out;
+    std::string model_out;
+    const auto op_kind = rng.below(7);
+    if (op_kind <= 2) {
+      const int token = new_token(op_kind == 2);
+      const auto arg = op_kind == 2 ? rng.between(10, 200)
+                                    : rng.between(-50, 500);
+      TimerId rid = 0;
+      TimerId mid = 0;
+      if (op_kind == 0) {
+        op = "schedule_at(now" + offset(arg) + ")";
+        rid = real.sched.schedule_at(real.sched.now() + arg, token);
+        mid = model.sched.schedule_at(model.sched.now() + arg, token);
+      } else if (op_kind == 1) {
+        op = "schedule_after(" + std::to_string(arg) + ")";
+        rid = real.sched.schedule_after(arg, token);
+        mid = model.sched.schedule_after(arg, token);
+      } else {
+        op = "schedule_every(" + std::to_string(arg) + ")";
+        rid = real.sched.schedule_every(arg, token);
+        mid = model.sched.schedule_every(arg, token);
+      }
+      real.ids[token] = rid;
+      model.ids[token] = mid;
+      real_out = std::to_string(rid);
+      model_out = std::to_string(mid);
+    } else if (op_kind == 3) {
+      const TimerId id = known_id();
+      op = "cancel(" + std::to_string(id) + ")";
+      real_out = std::to_string(real.sched.cancel(id));
+      model_out = std::to_string(model.sched.cancel(id));
+    } else {
+      // Deadlines: behind the clock, at it, and ahead of it.
+      const auto span = op_kind == 6 ? 0 : rng.between(-10, 400);
+      op = "run_until(now" + offset(span) + ")";
+      real_out = std::to_string(real.sched.run_until(real.sched.now() + span));
+      model_out =
+          std::to_string(model.sched.run_until(model.sched.now() + span));
+    }
+    op += " -> " + real_out;
+    ops.push_back(op);
+
+    ASSERT_EQ(real_out, model_out) << dump();
+    ASSERT_EQ(real.log, model.log) << dump();
+    ASSERT_EQ(real.sched.now(), model.sched.now()) << dump();
+    ASSERT_EQ(real.sched.pending(), model.sched.pending()) << dump();
+    ASSERT_EQ(real.sched.next_event_time(), model.sched.next_event_time())
+        << dump();
+    ASSERT_EQ(real.sched.fired_count(), model.sched.fired_count()) << dump();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerModelTest,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89,
+                                           144, 233));
 
 TEST(Rng, ExponentialMeanIsClose) {
   Rng rng(23);
