@@ -3,8 +3,10 @@
 #
 # The obs hot paths (Counter/Gauge/Histogram updates, SpanCollector::record)
 # are exercised from the historian read executor's workers and from reader
-# threads sharing one composite's single-flight collection over the wire;
-# this is the standing proof they stay race-free. Usage:
+# threads sharing one composite's single-flight collection over the wire,
+# whose reused collection job passes between those threads under the
+# composite's collection mutex; this is the standing proof they stay
+# race-free. Usage:
 #
 #   scripts/run_tsan.sh [build-dir]    # default build-tsan
 #

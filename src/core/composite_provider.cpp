@@ -17,6 +17,7 @@ struct CspMetrics {
   obs::Counter& cache_hits;
   obs::Counter& cache_misses;
   obs::Counter& coalesced;
+  obs::Counter& jobs_built;
   obs::Histogram& collection_latency;
 };
 
@@ -27,8 +28,35 @@ CspMetrics& csp_metrics() {
       obs::metrics().counter("csp.cache_hits"),
       obs::metrics().counter("csp.cache_misses"),
       obs::metrics().counter("csp.coalesced"),
+      obs::metrics().counter("csp.jobs_built"),
       obs::metrics().histogram("csp.collection_latency_us")};
   return m;
+}
+
+/// Per-thread result buffers. A read fills `collected` only after its
+/// fan-out has stopped pumping and consumes both vectors before it
+/// returns, so a nested read that the pump runs on the same stack never
+/// interleaves with it; each reader thread has its own.
+struct ReadBuffers {
+  std::vector<std::optional<double>> collected;
+  std::vector<double> values;
+};
+
+ReadBuffers& read_buffers() {
+  thread_local ReadBuffers buffers;
+  return buffers;
+}
+
+/// True when the collection flight's caller holds the only reference to
+/// `job` and to each of its children. A request still parked on the fabric
+/// (its call timed out) or a late child call keeps a reference, and the
+/// provider that eventually runs it writes into those objects.
+bool sole_holder(const std::shared_ptr<sorcer::Job>& job) {
+  if (job.use_count() != 1) return false;
+  for (const auto& child : job->children()) {
+    if (child.use_count() != 1) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -64,10 +92,13 @@ bool CompositeSensorProvider::would_cycle(
   return false;
 }
 
-void CompositeSensorProvider::invalidate_cache(bool plan_too) {
+void CompositeSensorProvider::invalidate_cache(bool composition_changed) {
   std::lock_guard lock(collect_mu_);
   cache_valid_ = false;
-  if (plan_too) plan_.clear();
+  if (composition_changed) {
+    idle_job_.reset();
+    ++composition_;
+  }
 }
 
 util::Status CompositeSensorProvider::add_component(
@@ -100,7 +131,7 @@ util::Status CompositeSensorProvider::add_component(
   // Dynamic variable creation: the new component binds the next free letter.
   components_.push_back(Component{item.value().id, service_name,
                                   component_variable_name(next_variable_++)});
-  invalidate_cache(/*plan_too=*/true);
+  invalidate_cache(/*composition_changed=*/true);
   return util::Status::ok();
 }
 
@@ -116,7 +147,7 @@ util::Status CompositeSensorProvider::remove_component(
   }
   const std::string freed_variable = it->variable;
   components_.erase(it);
-  invalidate_cache(/*plan_too=*/true);
+  invalidate_cache(/*composition_changed=*/true);
 
   if (computation_.has_expression()) {
     if (computation_.variables().contains(freed_variable)) {
@@ -149,7 +180,7 @@ std::vector<std::string> CompositeSensorProvider::component_variables() const {
 util::Status CompositeSensorProvider::set_expression(
     const std::string& source) {
   auto status = computation_.set_expression(source, component_variables());
-  if (status.is_ok()) invalidate_cache(/*plan_too=*/false);
+  if (status.is_ok()) invalidate_cache(/*composition_changed=*/false);
   return status;
 }
 
@@ -160,40 +191,46 @@ void CompositeSensorProvider::assume_state_from(
   // Adopt the composition verbatim (ids included — reads resolve by name,
   // so a component that was itself re-provisioned rebinds transparently on
   // the next collection) and re-attach the expression over the same
-  // variables. The plan cache starts cold in the replacement.
+  // variables. The replacement builds its collection job on first read.
   components_ = csp->components_;
   next_variable_ = csp->next_variable_;
   if (csp->computation_.has_expression()) {
     (void)set_expression(csp->expression());
   }
-  invalidate_cache(/*plan_too=*/true);
+  invalidate_cache(/*composition_changed=*/true);
 }
 
-std::vector<std::optional<double>> CompositeSensorProvider::fan_out(
-    const std::vector<PlanEntry>& plan, util::SimDuration* latency) {
-  std::vector<sorcer::ExertionPtr> tasks;
-  tasks.reserve(plan.size());
-  for (const auto& entry : plan) {
-    tasks.push_back(sorcer::Task::make(entry.task_name, entry.signature));
+std::shared_ptr<sorcer::Job> CompositeSensorProvider::build_collection()
+    const {
+  csp_metrics().jobs_built.add(1);
+  auto strategy = policy_.strategy;
+  strategy.fail_fast = false;
+  auto job = sorcer::Job::make(provider_name() + ".collect", strategy);
+  for (const auto& comp : components_) {
+    job->add(sorcer::Task::make(
+        comp.variable, sorcer::Signature{kSensorDataAccessorType,
+                                         op::kGetValue, comp.name}));
   }
+  return job;
+}
+
+void CompositeSensorProvider::fan_out(
+    const std::shared_ptr<sorcer::Job>& job,
+    std::vector<std::optional<double>>& values, util::SimDuration* latency) {
+  job->renew();
+  const std::vector<sorcer::ExertionPtr>& tasks = job->children();
 
   // Prefer the federation: a rendezvous peer coordinates the fan-out.
   bool federated = false;
   if (!tasks.empty()) {
-    // Lenient collection must not abort on the first unreachable child;
-    // strictness is enforced after the fan-out, per component.
-    auto strategy = policy_.strategy;
-    strategy.fail_fast = false;
-    auto job = sorcer::Job::make(provider_name() + ".collect", strategy);
-    for (const auto& t : tasks) job->add(t);
     (void)sorcer::exert(job, accessor_);
     federated = job->error().code() != util::ErrorCode::kNotFound ||
                 job->status() != sorcer::ExertStatus::kFailed;
     if (federated) *latency = job->latency();
   }
   if (!federated) {
-    // No rendezvous peer on the network: scatter-gather the prebuilt tasks
-    // as one batch. Each pins its component by name, so each gets one
+    // No rendezvous peer on the network: scatter-gather the job's tasks as
+    // one batch. Each pins its component by name, so each gets one
     // attempt. The batch already paid its overlapped window in fabric time,
     // so it costs the slowest child plus one batch-dispatch overhead — the
     // Jobber's parallel latency model; a batch that routed no task (every
@@ -208,32 +245,32 @@ std::vector<std::optional<double>> CompositeSensorProvider::fan_out(
     }
   }
 
-  std::vector<std::optional<double>> out;
-  out.reserve(tasks.size());
+  values.clear();
   for (const auto& task : tasks) {
     // Borrow the reply value in place (this is the collection hot path —
     // one lookup per component per read).
     const sorcer::ContextValue* v = task->context().find(path::kValue);
     const double* d = v != nullptr ? std::get_if<double>(v) : nullptr;
     if (task->status() == sorcer::ExertStatus::kDone && d != nullptr) {
-      out.emplace_back(*d);
+      values.emplace_back(*d);
     } else {
-      out.emplace_back(std::nullopt);
+      values.emplace_back(std::nullopt);
     }
   }
-  return out;
 }
 
-CompositeSensorProvider::Collected CompositeSensorProvider::collect() {
+CompositeSensorProvider::Collected CompositeSensorProvider::collect(
+    std::vector<std::optional<double>>& values) {
   std::unique_lock lock(collect_mu_);
 
   // Freshness window: a collection newer than the TTL answers the read
-  // outright — no task build, no fan-out, no latency charge.
+  // outright — no fan-out, no latency charge.
   if (cache_valid_ && policy_.freshness > 0 &&
       scheduler_.now() - cache_time_ <= policy_.freshness) {
     csp_metrics().cache_hits.add(1);
     last_collection_latency_.store(0, std::memory_order_relaxed);
-    return Collected{cached_values_, cache_time_, true};
+    values = cached_values_;
+    return Collected{cache_time_, true};
   }
 
   // Single-flight: if another reader is already collecting, wait for its
@@ -244,51 +281,50 @@ CompositeSensorProvider::Collected CompositeSensorProvider::collect() {
       // fan-out pumps the virtual-time scheduler, which can fire a timer
       // (watch poll, sampler) that reads this CSP again on the same stack.
       // Waiting would self-deadlock; serve the previous collection if one
-      // exists, else run an independent fan-out without touching the
+      // exists, else run an independent fan-out on a job of its own (the
+      // flight's job is still in the air) without touching the
       // single-flight state.
       if (cache_valid_) {
         csp_metrics().coalesced.add(1);
         last_collection_latency_.store(0, std::memory_order_relaxed);
-        return Collected{cached_values_, cache_time_, true};
+        values = cached_values_;
+        return Collected{cache_time_, true};
       }
-      const std::vector<PlanEntry> plan = plan_;
+      const std::shared_ptr<sorcer::Job> job = build_collection();
       lock.unlock();
       util::SimDuration latency = 0;
-      std::vector<std::optional<double>> values = fan_out(plan, &latency);
-      return Collected{std::move(values), scheduler_.now(), false};
+      fan_out(job, values, &latency);
+      return Collected{scheduler_.now(), false};
     }
     csp_metrics().coalesced.add(1);
     const std::uint64_t waited_for = collect_generation_;
     collect_cv_.wait(lock,
                      [&] { return collect_generation_ != waited_for; });
     last_collection_latency_.store(0, std::memory_order_relaxed);
-    return Collected{cached_values_, cache_time_, true};
+    values = cached_values_;
+    return Collected{cache_time_, true};
   }
   collect_in_flight_ = true;
   collect_owner_ = std::this_thread::get_id();
 
-  // The fan-out plan (task name + signature per component) is prebuilt and
-  // survives across reads until the composition changes.
-  if (plan_.empty()) {
-    plan_.reserve(components_.size());
-    for (const auto& comp : components_) {
-      plan_.push_back(PlanEntry{
-          comp.variable,
-          sorcer::Signature{kSensorDataAccessorType, op::kGetValue,
-                            comp.name}});
-    }
-  }
-  const std::vector<PlanEntry> plan = plan_;
+  // The collection job survives across reads until the composition
+  // changes; the flight holds it alone while it is in the air.
+  std::shared_ptr<sorcer::Job> job = std::move(idle_job_);
+  if (!job) job = build_collection();
+  const std::uint64_t composition = composition_;
   lock.unlock();
 
   csp_metrics().cache_misses.add(1);
   csp_metrics().collections.add(1);
   util::SimDuration latency = 0;
-  std::vector<std::optional<double>> values = fan_out(plan, &latency);
+  fan_out(job, values, &latency);
   last_collection_latency_.store(latency, std::memory_order_relaxed);
   csp_metrics().collection_latency.observe(static_cast<double>(latency));
 
   lock.lock();
+  if (composition == composition_ && sole_holder(job)) {
+    idle_job_ = std::move(job);
+  }
   cached_values_ = values;
   cache_time_ = scheduler_.now();
   cache_valid_ = true;
@@ -298,7 +334,7 @@ CompositeSensorProvider::Collected CompositeSensorProvider::collect() {
   const util::SimTime at = cache_time_;
   lock.unlock();
   collect_cv_.notify_all();
-  return Collected{std::move(values), at, false};
+  return Collected{at, false};
 }
 
 util::Result<double> CompositeSensorProvider::read_value(
@@ -308,13 +344,14 @@ util::Result<double> CompositeSensorProvider::read_value(
                         "composite '" + provider_name() +
                             "' has no composed services"};
   }
-  Collected collected = collect();
+  ReadBuffers& buffers = read_buffers();
+  const Collected collected = collect(buffers.collected);
 
-  std::vector<double> values;
-  values.reserve(collected.values.size());
-  for (std::size_t i = 0; i < collected.values.size(); ++i) {
-    if (collected.values[i]) {
-      values.push_back(*collected.values[i]);
+  std::vector<double>& values = buffers.values;
+  values.clear();
+  for (std::size_t i = 0; i < buffers.collected.size(); ++i) {
+    if (buffers.collected[i]) {
+      values.push_back(*buffers.collected[i]);
     } else if (policy_.strict || computation_.has_expression()) {
       return util::Status{
           util::ErrorCode::kUnavailable,
@@ -329,7 +366,7 @@ util::Result<double> CompositeSensorProvider::read_value(
   }
   reads_.fetch_add(1, std::memory_order_relaxed);
   csp_metrics().reads.add(1);
-  if (collected_out != nullptr) *collected_out = std::move(collected);
+  if (collected_out != nullptr) *collected_out = collected;
   return computation_.evaluate(values);
 }
 

@@ -9,19 +9,22 @@
 // "is reduced to the management of a single CSP".
 //
 // The read path is optimized for heavy traffic:
-//   * the per-component task signatures are prebuilt once and invalidated
-//     only on composition changes (no per-read string assembly);
+//   * the collection job (one task per component) is prebuilt once and
+//     renewed for every read; it is rebuilt only after a composition change
+//     or when something else still holds it (a request parked on the
+//     fabric after a timeout), so a warm read builds no exertion;
 //   * reads newer than the policy's freshness window are served from the
 //     cached collection without any fan-out;
 //   * concurrent collections coalesce — N simultaneous readers pay one
 //     fan-out (single-flight);
 //   * with no rendezvous peer on the network, the direct fallback issues the
-//     prebuilt plan as one scatter-gather batch overlapped on the fabric,
+//     job's tasks as one scatter-gather batch overlapped on the fabric,
 //     under the same slowest-child latency model the Jobber uses, instead of
 //     a sequential child-latency sum.
 
 #include <atomic>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -120,38 +123,41 @@ class CompositeSensorProvider : public sorcer::ServiceProvider,
     std::string variable;
   };
 
-  /// One prebuilt fan-out step: the task name (the component's variable)
-  /// and its resolved signature, cached across reads.
-  struct PlanEntry {
-    std::string task_name;
-    sorcer::Signature signature;
-  };
-
-  /// Result of one collection: per-component values in composition order
-  /// (nullopt = unreachable/failed) plus provenance for quality stamping.
+  /// Provenance of one collection, for quality stamping. The values land
+  /// in `values`: per component in composition order, nullopt when the
+  /// component was unreachable or failed.
   struct Collected {
-    std::vector<std::optional<double>> values;
     util::SimTime at = 0;
     bool from_cache = false;
   };
 
   void install_operations();
 
-  /// Collect current values of all components, honouring the freshness
-  /// cache and coalescing concurrent callers onto one in-flight fan-out.
-  Collected collect();
+  /// A collection job for the current composition: one task per component,
+  /// named by its variable and pinned to the component's service, under the
+  /// policy's strategy made lenient (strictness is enforced per component
+  /// after the fan-out). Called with `collect_mu_` held.
+  std::shared_ptr<sorcer::Job> build_collection() const;
 
-  /// The actual fan-out: federated when a rendezvous peer exists, else one
-  /// direct scatter-gather batch. Returns values + modeled latency.
-  std::vector<std::optional<double>> fan_out(
-      const std::vector<PlanEntry>& plan, util::SimDuration* latency);
+  /// Collect current values of all components into `values`, honouring
+  /// the freshness cache and coalescing concurrent callers onto one
+  /// in-flight fan-out.
+  Collected collect(std::vector<std::optional<double>>& values);
+
+  /// The actual fan-out of `job` (renewed first): federated when a
+  /// rendezvous peer exists, else one direct scatter-gather batch of its
+  /// tasks. Fills `values` and the modeled latency.
+  void fan_out(const std::shared_ptr<sorcer::Job>& job,
+               std::vector<std::optional<double>>& values,
+               util::SimDuration* latency);
 
   /// Shared implementation behind get_value/get_reading.
   util::Result<double> read_value(Collected* collected_out);
 
-  /// Drop the cached collection (and, when `plan_too`, the prebuilt task
-  /// signatures). Called on composition and expression changes.
-  void invalidate_cache(bool plan_too);
+  /// Drop the cached collection (and, when `composition_changed`, the idle
+  /// collection job, which a flight still in the air will not put back).
+  /// Called on composition and expression changes.
+  void invalidate_cache(bool composition_changed);
 
   /// True if `candidate` (a composite) contains *this transitively.
   bool would_cycle(const SensorDataAccessor& candidate) const;
@@ -170,7 +176,12 @@ class CompositeSensorProvider : public sorcer::ServiceProvider,
   // readers can coalesce instead of queueing.
   std::mutex collect_mu_;
   std::condition_variable collect_cv_;
-  std::vector<PlanEntry> plan_;       // empty = rebuild on next collect
+  // The collection job between reads; null while a flight holds it or
+  // after a composition change (the next collect builds a fresh one). A
+  // landing flight puts its job back only when nothing else references it
+  // or its children and `composition_` has not moved since it took off.
+  std::shared_ptr<sorcer::Job> idle_job_;
+  std::uint64_t composition_ = 0;  // bumped on every composition change
   bool cache_valid_ = false;
   util::SimTime cache_time_ = 0;
   std::vector<std::optional<double>> cached_values_;

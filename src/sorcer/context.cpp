@@ -53,12 +53,43 @@ void ServiceContext::put(std::string_view path, ContextValue value,
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), path,
       [](const Entry& e, std::string_view p) { return e.path < p; });
-  if (it != entries_.end() && it->path == path) {
-    it->value = std::move(value);
-    it->direction = direction;
-    return;
+  if (it == entries_.end() || it->path != path) {
+    it = insert_at(it, path, direction);
   }
-  entries_.insert(it, Entry{std::string(path), std::move(value), direction});
+  it->value = std::move(value);
+  it->direction = direction;
+}
+
+std::vector<ServiceContext::Entry>::iterator ServiceContext::insert_at(
+    std::vector<Entry>::iterator at, std::string_view path,
+    PathDirection direction) {
+  if (spare_.empty()) {
+    return entries_.insert(at,
+                           Entry{std::string(path), ContextValue{}, direction});
+  }
+  // Prefer the spare that held this very path: its string already fits.
+  auto match = std::find_if(spare_.rbegin(), spare_.rend(),
+                            [path](const Entry& e) { return e.path == path; });
+  if (match != spare_.rend() && match != spare_.rbegin()) {
+    std::iter_swap(match, spare_.rbegin());
+  }
+  Entry& reused = spare_.back();
+  reused.path.assign(path);
+  reused.direction = direction;
+  at = entries_.insert(at, std::move(reused));
+  spare_.pop_back();
+  return at;
+}
+
+void ServiceContext::drop_tail(std::size_t from) {
+  const std::size_t need = spare_.size() + (entries_.size() - from);
+  if (need > spare_.capacity()) {
+    spare_.reserve(std::max(need, 2 * spare_.capacity()));
+  }
+  for (std::size_t i = entries_.size(); i > from; --i) {
+    spare_.push_back(std::move(entries_[i - 1]));
+  }
+  entries_.resize(from);
 }
 
 util::Result<ContextValue> ServiceContext::get(std::string_view path) const {
@@ -129,9 +160,12 @@ bool ServiceContext::remove(std::string_view path) {
       entries_.begin(), entries_.end(), path,
       [](const Entry& e, std::string_view p) { return e.path < p; });
   if (it == entries_.end() || it->path != path) return false;
+  spare_.push_back(std::move(*it));
   entries_.erase(it);
   return true;
 }
+
+void ServiceContext::clear() { drop_tail(0); }
 
 std::vector<std::string> ServiceContext::paths() const {
   std::vector<std::string> out;
@@ -178,9 +212,8 @@ ContextValue& ServiceContext::reload_slot(std::string_view path,
     e.direction = direction;
     return e.value;
   }
-  entries_.push_back(Entry{std::string(path), ContextValue{}, direction});
   ++reload_count_;
-  return entries_.back().value;
+  return insert_at(entries_.end(), path, direction)->value;
 }
 
 ContextValue& ServiceContext::merge_slot(std::string_view path,
@@ -189,14 +222,12 @@ ContextValue& ServiceContext::merge_slot(std::string_view path,
       entries_.begin(), entries_.end(), path,
       [](const Entry& e, std::string_view p) { return e.path < p; });
   if (it == entries_.end() || it->path != path) {
-    it = entries_.insert(it, Entry{std::string(path), ContextValue{}, direction});
+    it = insert_at(it, path, direction);
   }
   it->direction = direction;
   return it->value;
 }
 
-void ServiceContext::reload_end() {
-  entries_.resize(reload_count_);
-}
+void ServiceContext::reload_end() { drop_tail(reload_count_); }
 
 }  // namespace sensorcer::sorcer

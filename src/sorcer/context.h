@@ -8,6 +8,12 @@
 // is a linear scan, and the wire codec (sorcer/codec.h) can bulk-reload a
 // context in place, reusing the entry vector's (and each entry's string /
 // series) capacity so steady-state decode allocates nothing.
+//
+// Dropped entries keep their storage: clear(), remove() and reload_end()
+// move them to a spare list, and the next insert (put, reload_slot,
+// merge_slot) takes a spare — the one with the same path when there is one
+// — instead of allocating. A renewed exertion that refills the same paths
+// therefore allocates nothing. A copy carries only the live entries.
 
 #include <cstdint>
 #include <optional>
@@ -35,6 +41,17 @@ class ServiceContext {
  public:
   ServiceContext() = default;
   explicit ServiceContext(std::string name) : name_(std::move(name)) {}
+
+  /// Copies carry the live entries only; the spares stay with their owner.
+  ServiceContext(const ServiceContext& other)
+      : name_(other.name_), entries_(other.entries_) {}
+  ServiceContext& operator=(const ServiceContext& other) {
+    name_ = other.name_;
+    entries_ = other.entries_;
+    return *this;
+  }
+  ServiceContext(ServiceContext&&) noexcept = default;
+  ServiceContext& operator=(ServiceContext&&) noexcept = default;
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
@@ -72,6 +89,9 @@ class ServiceContext {
   }
   bool remove(std::string_view path);
 
+  /// Drop every entry (the name stays); their storage is kept for reuse.
+  void clear();
+
   /// All paths, sorted.
   [[nodiscard]] std::vector<std::string> paths() const;
 
@@ -104,8 +124,9 @@ class ServiceContext {
   // The wire codec rebuilds a decoded context in place: reload_begin() resets
   // the logical size, reload_slot() appends entries in sorted path order
   // (the encoder iterates sorted, so decode needs no re-sort) reusing the
-  // retained entry storage, reload_end() trims leftovers. The returned
-  // ContextValue& lets the decoder assign into an existing series/string
+  // retained entry storage, reload_end() drops leftovers. The returned
+  // ContextValue& may hold a reused entry's stale value: the decoder must
+  // overwrite it in full, assigning into an existing series/string
   // alternative so steady-state decode reuses its heap capacity.
 
   void reload_begin(std::string_view name);
@@ -114,7 +135,7 @@ class ServiceContext {
 
   /// A decoded reply updates the context instead: the entry at `path`
   /// (inserted when absent) with its direction set, value left for the
-  /// decoder to overwrite in place. Entries the reply omits are untouched.
+  /// decoder to overwrite in full. Entries the reply omits are untouched.
   ContextValue& merge_slot(std::string_view path, PathDirection direction);
 
  private:
@@ -126,8 +147,19 @@ class ServiceContext {
 
   [[nodiscard]] const Entry* find_entry(std::string_view path) const;
 
+  /// Insert an entry for `path` before `at`, built from a spare when one is
+  /// left; its value is stale and the caller overwrites it.
+  std::vector<Entry>::iterator insert_at(std::vector<Entry>::iterator at,
+                                         std::string_view path,
+                                         PathDirection direction);
+
+  /// Move entries [from, end) to the spares, last first, so a refill in
+  /// ascending path order finds each one at the back.
+  void drop_tail(std::size_t from);
+
   std::string name_;
   std::vector<Entry> entries_;  // sorted by path
+  std::vector<Entry> spare_;    // dropped entries, storage kept for reuse
   std::size_t reload_count_ = 0;
 };
 

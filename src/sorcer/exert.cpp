@@ -1,5 +1,6 @@
 #include "sorcer/exert.h"
 
+#include <deque>
 #include <span>
 #include <utility>
 
@@ -160,6 +161,50 @@ void fly(std::span<Flight> flights, std::span<PendingCall*> open,
   }
 }
 
+/// exert_all()'s flights and gather slots, kept per thread and per nesting
+/// level: a provider that batches mid-call re-enters exert_all() on the
+/// same stack, so each level takes a frame of its own. A frame keeps its
+/// capacity across batches; releasing it destroys its flights, which drops
+/// their exertion references (a requestor that reuses an exertion checks
+/// that it is the sole holder).
+class BatchFrame {
+ public:
+  explicit BatchFrame(std::size_t n) : slot_(acquire()) {
+    slot_.flights.resize(n);
+    slot_.open.resize(n);
+  }
+  ~BatchFrame() {
+    slot_.flights.clear();
+    --levels().depth;
+  }
+  BatchFrame(const BatchFrame&) = delete;
+  BatchFrame& operator=(const BatchFrame&) = delete;
+
+  std::span<Flight> flights() { return slot_.flights; }
+  std::span<PendingCall*> open() { return slot_.open; }
+
+ private:
+  struct Slot {
+    std::vector<Flight> flights;
+    std::vector<PendingCall*> open;
+  };
+  struct Levels {
+    std::deque<Slot> slots;  // deque: a new level never moves an outer one
+    std::size_t depth = 0;
+  };
+  static Levels& levels() {
+    thread_local Levels l;
+    return l;
+  }
+  static Slot& acquire() {
+    Levels& l = levels();
+    if (l.depth == l.slots.size()) l.slots.emplace_back();
+    return l.slots[l.depth++];
+  }
+
+  Slot& slot_;
+};
+
 /// Close a finished flight: count a failure, finish the span and return
 /// the call shell to the invoker's pool (the outcome lives on the
 /// exertion).
@@ -205,7 +250,8 @@ std::size_t exert_all(const std::vector<ExertionPtr>& batch,
     }
     return 0;
   }
-  std::vector<Flight> flights(batch.size());
+  BatchFrame frame(batch.size());
+  std::span<Flight> flights = frame.flights();
   for (std::size_t i = 0; i < batch.size(); ++i) {
     flights[i].exertion = batch[i];
     if (batch[i]) {
@@ -214,8 +260,7 @@ std::size_t exert_all(const std::vector<ExertionPtr>& batch,
       flights[i].finished = true;
     }
   }
-  std::vector<PendingCall*> open(flights.size());
-  fly(flights, open, accessor, txn);
+  fly(flights, frame.open(), accessor, txn);
 
   std::size_t routed = 0;
   for (Flight& f : flights) {

@@ -15,6 +15,20 @@ const char* exert_status_name(ExertStatus status) {
   return "?";
 }
 
+void Exertion::renew() {
+  status_ = ExertStatus::kInitial;
+  error_ = util::Status::ok();
+  latency_ = 0;
+  trace_.clear();
+  trace_ctx_ = {};
+  context_.clear();
+}
+
+void Job::renew() {
+  Exertion::renew();
+  for (const auto& child : children_) child->renew();
+}
+
 void Job::start() {
   set_status(ExertStatus::kRunning);
   for (const auto& child : children_) {
@@ -43,13 +57,14 @@ void Job::conclude() {
     return;
   }
   // The requestor reads one context: child paths merge under
-  // "<child-name>/". Walk entry views and build each key in one reused
-  // buffer, so the merge copies only the values themselves.
+  // "<child-name>/". Walk entry views and build each key in one per-thread
+  // buffer (the merge never re-enters conclude), so the merge copies only
+  // the values themselves.
   ServiceContext& merged = context();
   std::size_t total = merged.size();
   for (const auto& child : children_) total += child->context().size();
   merged.reserve(total);
-  std::string key;
+  thread_local std::string key;
   for (const auto& child : children_) {
     const ServiceContext& from = child->context();
     key.assign(child->name());

@@ -13,7 +13,6 @@
 
 #include "obs/trace.h"
 #include "sorcer/context.h"
-#include "util/ids.h"
 #include "util/sim_time.h"
 #include "util/status.h"
 
@@ -59,7 +58,6 @@ class Exertion {
 
   [[nodiscard]] virtual Kind kind() const = 0;
 
-  [[nodiscard]] const util::Uuid& id() const { return id_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
   ServiceContext& context() { return context_; }
@@ -82,6 +80,13 @@ class Exertion {
     error_ = util::Status::ok();
   }
 
+  /// Return the exertion to its just-made state — status, error, latency,
+  /// trace, trace context and context entries — while keeping its storage,
+  /// so a requestor can submit the same shell again without allocating. A
+  /// job renews its children too. Only the sole holder may renew: a request
+  /// still parked on the fabric would otherwise write into the next run.
+  virtual void renew();
+
   /// Accumulated modeled service latency (virtual time).
   [[nodiscard]] util::SimDuration latency() const { return latency_; }
   void add_latency(util::SimDuration d) { latency_ += d; }
@@ -102,11 +107,9 @@ class Exertion {
   void set_trace_context(const obs::TraceContext& ctx) { trace_ctx_ = ctx; }
 
  protected:
-  explicit Exertion(std::string name)
-      : id_(util::new_uuid()), name_(std::move(name)) {}
+  explicit Exertion(std::string name) : name_(std::move(name)) {}
 
  private:
-  util::Uuid id_;
   std::string name_;
   ServiceContext context_;
   ExertStatus status_ = ExertStatus::kInitial;
@@ -146,6 +149,8 @@ class Job final : public Exertion {
   [[nodiscard]] const std::vector<ExertionPtr>& children() const {
     return children_;
   }
+
+  void renew() override;
 
   /// A rendezvous peer takes the job on: mark it running and stamp every
   /// unstamped child with the job's trace context, so children scattered

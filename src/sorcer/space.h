@@ -11,6 +11,7 @@
 #include <unordered_map>
 
 #include "sorcer/exertion.h"
+#include "util/ids.h"
 
 namespace sensorcer::sorcer {
 

@@ -10,6 +10,7 @@
 
 #include "obs/metrics.h"
 #include "simnet/network.h"
+#include "sorcer/codec.h"
 #include "sorcer/exert.h"
 #include "sorcer/invoke.h"
 #include "sorcer/jobber.h"
@@ -133,6 +134,82 @@ TEST(Context, ReloadReusesStorageAndStaysSorted) {
             (std::vector<std::string>{"b"}));
 }
 
+TEST(Context, ClearDropsEntriesAndRefillsInOrder) {
+  ServiceContext ctx("named");
+  ctx.put("sensor/value", 1.0, PathDirection::kOut);
+  ctx.put("sensor/timestamp", std::int64_t{5}, PathDirection::kOut);
+  ctx.put("sensor/quality", std::string("GOOD"), PathDirection::kOut);
+  ctx.clear();
+  EXPECT_EQ(ctx.size(), 0u);
+  EXPECT_FALSE(ctx.has("sensor/value"));
+  EXPECT_EQ(ctx.name(), "named");
+
+  // Refill in another order, with other types: every reused entry holds
+  // exactly what was put, and the paths stay sorted.
+  ctx.put("sensor/quality", 2.0);
+  ctx.put("sensor/unit", std::string("C"), PathDirection::kIn);
+  ctx.put("sensor/value", std::string("text"));
+  EXPECT_EQ(ctx.paths(), (std::vector<std::string>{
+                             "sensor/quality", "sensor/unit", "sensor/value"}));
+  EXPECT_DOUBLE_EQ(ctx.get_double("sensor/quality").value(), 2.0);
+  EXPECT_EQ(ctx.get_string("sensor/value").value(), "text");
+  EXPECT_EQ(ctx.paths_with(PathDirection::kIn),
+            (std::vector<std::string>{"sensor/unit"}));
+}
+
+TEST(Context, RemovedEntryStorageServesTheNextInsert) {
+  ServiceContext ctx;
+  ctx.put("a", 1.0);
+  ctx.put("b", std::vector<double>{1, 2, 3});
+  ctx.put("c", 3.0);
+  ASSERT_TRUE(ctx.remove("b"));
+  ctx.put("bb", std::int64_t{7});
+  EXPECT_EQ(ctx.paths(), (std::vector<std::string>{"a", "bb", "c"}));
+  EXPECT_DOUBLE_EQ(ctx.get_double("bb").value(), 7.0);
+  EXPECT_FALSE(ctx.get_series("bb").is_ok());
+}
+
+TEST(Context, ReloadThatShrinksThenGrowsLeavesNoStaleEntry) {
+  ServiceContext ctx;
+  ctx.reload_begin("");
+  ctx.reload_slot("a", PathDirection::kIn) = 1.0;
+  ctx.reload_slot("b", PathDirection::kIn) = std::string("bee");
+  ctx.reload_slot("c", PathDirection::kIn) = 3.0;
+  ctx.reload_end();
+
+  ctx.reload_begin("");
+  ctx.reload_slot("a", PathDirection::kIn) = 10.0;
+  ctx.reload_end();
+  EXPECT_EQ(ctx.paths(), (std::vector<std::string>{"a"}));
+
+  ctx.reload_begin("");
+  ctx.reload_slot("a", PathDirection::kOut) = 11.0;
+  ctx.reload_slot("d", PathDirection::kOut) = 4.0;
+  ctx.reload_end();
+  ctx.merge_slot("e", PathDirection::kOut) = 5.0;
+  EXPECT_EQ(ctx.paths(), (std::vector<std::string>{"a", "d", "e"}));
+  EXPECT_DOUBLE_EQ(ctx.get_double("d").value(), 4.0);
+  EXPECT_DOUBLE_EQ(ctx.get_double("e").value(), 5.0);
+}
+
+TEST(Context, CopyCarriesOnlyLiveEntries) {
+  ServiceContext ctx("orig");
+  ctx.put("a", 1.0);
+  ctx.put("b", 2.0);
+  ctx.put("c", 3.0);
+  ASSERT_TRUE(ctx.remove("b"));
+  ServiceContext copy = ctx;
+  EXPECT_EQ(copy.name(), "orig");
+  EXPECT_EQ(copy.paths(), (std::vector<std::string>{"a", "c"}));
+  ServiceContext assigned;
+  assigned.put("z", 0.0);
+  assigned = ctx;
+  EXPECT_EQ(assigned.paths(), (std::vector<std::string>{"a", "c"}));
+  copy.put("b", 4.0);
+  EXPECT_DOUBLE_EQ(copy.get_double("b").value(), 4.0);
+  EXPECT_FALSE(ctx.has("b"));
+}
+
 TEST(Context, ToStringListsPaths) {
   ServiceContext ctx("c");
   ctx.put("sensor/value", 21.5);
@@ -207,6 +284,44 @@ TEST_F(FederationTest, TaskExecutesAndFillsContext) {
   EXPECT_EQ(task->trace(), (std::vector<std::string>{"Adder"}));
   EXPECT_EQ(task->latency(), 5 * kMillisecond + round_trip());
   EXPECT_EQ(adder->invocation_count(), 1u);
+}
+
+TEST_F(FederationTest, RenewedTaskIsLikeAFreshOne) {
+  auto task = add_task(2, 3);
+  ASSERT_TRUE(exert(task, accessor).is_ok());
+  ASSERT_EQ(task->status(), ExertStatus::kDone);
+  task->set_trace_context({1, 2});
+
+  // Warm two intern tables to the same state, then encode the renewed
+  // task into one and a fresh task into the other.
+  PathInternTable renewed_table;
+  PathInternTable fresh_table;
+  WireBuffer warm;
+  encode_context(task->context(), renewed_table, warm);
+  encode_context(task->context(), fresh_table, warm);
+
+  task->renew();
+  EXPECT_EQ(task->status(), ExertStatus::kInitial);
+  EXPECT_TRUE(task->error().is_ok());
+  EXPECT_EQ(task->latency(), 0);
+  EXPECT_TRUE(task->trace().empty());
+  EXPECT_FALSE(task->trace_context().valid());
+  EXPECT_EQ(task->context().size(), 0u);
+
+  auto fresh = Task::make("t", Signature{type::kTasker, "add", ""});
+  WireBuffer renewed_bytes;
+  WireBuffer fresh_bytes;
+  encode_context(task->context(), renewed_table, renewed_bytes);
+  encode_context(fresh->context(), fresh_table, fresh_bytes);
+  EXPECT_EQ(renewed_bytes, fresh_bytes);
+
+  // And it runs again exactly like a fresh one.
+  task->context().put("arg/a", 4.0);
+  task->context().put("arg/b", 5.0);
+  ASSERT_TRUE(exert(task, accessor).is_ok());
+  EXPECT_DOUBLE_EQ(task->context().get_double("result/sum").value(), 9.0);
+  EXPECT_EQ(task->trace(), (std::vector<std::string>{"Adder"}));
+  EXPECT_EQ(task->latency(), 5 * kMillisecond + round_trip());
 }
 
 TEST_F(FederationTest, UnknownSelectorFailsTask) {
@@ -369,6 +484,40 @@ TEST_F(JobberTest, JobContextCollectsChildOutputs) {
   job->add(t);
   (void)exert(job, accessor);
   EXPECT_DOUBLE_EQ(job->context().get_double("t/result/sum").value(), 4.0);
+}
+
+TEST_F(JobberTest, RenewedJobRenewsItsChildrenAndRunsAgain) {
+  auto job = Job::make("j", {Flow::kParallel, Access::kPush, false});
+  job->add(Task::make("x", Signature{type::kTasker, "add", ""}));
+  job->add(Task::make("y", Signature{type::kTasker, "add", ""}));
+  const auto run = [&](double a) {
+    for (const auto& child : job->children()) {
+      child->context().put("arg/a", a);
+      child->context().put("arg/b", 1.0);
+    }
+    ASSERT_TRUE(exert(job, accessor).is_ok());
+    ASSERT_EQ(job->status(), ExertStatus::kDone);
+  };
+  run(1.0);
+  const util::SimDuration first_latency = job->latency();
+
+  job->renew();
+  EXPECT_EQ(job->status(), ExertStatus::kInitial);
+  EXPECT_EQ(job->latency(), 0);
+  EXPECT_EQ(job->context().size(), 0u);
+  EXPECT_TRUE(job->trace().empty());
+  for (const auto& child : job->children()) {
+    EXPECT_EQ(child->status(), ExertStatus::kInitial);
+    EXPECT_EQ(child->context().size(), 0u);
+    EXPECT_EQ(child->latency(), 0);
+    EXPECT_FALSE(child->trace_context().valid());
+  }
+
+  run(2.0);
+  EXPECT_EQ(job->latency(), first_latency);  // not accumulated
+  EXPECT_DOUBLE_EQ(job->context().get_double("x/result/sum").value(), 3.0);
+  EXPECT_DOUBLE_EQ(job->context().get_double("y/result/sum").value(), 3.0);
+  EXPECT_EQ(job->trace(), (std::vector<std::string>{"Jobber"}));
 }
 
 TEST_F(JobberTest, SequenceLatencyIsSumParallelIsMax) {
