@@ -15,9 +15,10 @@
 // byte against the flat 32-byte encoding — the acceptance bound is ≥5x on a
 // steady quantized signal, asserted in smoke and full runs alike — plus the
 // tier demotion path holding the full history queryable past raw capacity.
-// The concurrent-query section drives a dashboard-style sweep through the
-// read executor while an appender keeps writing (completion asserted, no
-// wall-clock bounds: it must simply never deadlock or lose a query).
+// The concurrent-query section runs a dashboard-style sweep from four
+// reader threads straight on the store while an appender keeps writing,
+// and reports per-query p50/p99 next to throughput (completion asserted,
+// no wall-clock bounds: it must simply never deadlock or lose a query).
 //
 // `bench_historian smoke` runs a seconds-scale subset (CI under ASan/TSan).
 
@@ -25,17 +26,15 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/deployment.h"
-#include "hist/read_executor.h"
 #include "hist/series.h"
 #include "hist/store.h"
-#include "obs/metrics.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "util/strings.h"
 
 using namespace sensorcer;
@@ -345,12 +344,13 @@ void bench_compression(bool smoke) {
 }
 
 void bench_concurrent_queries(bool smoke) {
-  std::puts("Concurrent dashboard sweep through the read executor");
-  std::puts("(queries run on executor workers while an appender keeps");
-  std::puts("writing; bounded queue sheds overflow to the caller — the");
-  std::puts("assertion is completion, never wall-clock):");
+  std::puts("Concurrent dashboard sweep on the store");
+  std::puts("(four reader threads query HistorianStore directly while an");
+  std::puts("appender keeps writing the same series; the assertion is that");
+  std::puts("every query completes with data, never a wall-clock bound):");
   const std::size_t queries = smoke ? 200 : 1'000;
   const std::size_t preload = smoke ? 20'000 : 200'000;
+  constexpr std::size_t kReaders = 4;
 
   hist::HistorianConfig config;
   config.series.raw_capacity = preload / 4;
@@ -367,63 +367,69 @@ void bench_concurrent_queries(bool smoke) {
     }
   }
 
-  hist::ReadExecutor exec(hist::ReadExecutor::Config{4, 64});
-  const auto served_before = obs::metrics().counter("hist.reads_served").value();
+  const auto span = static_cast<util::SimTime>(preload) * kDt;
+  // Query q is a stats, downsample or deep-scan read (q % 3) over a window
+  // starting at one of seven offsets; reader r runs the queries q with
+  // q % kReaders == r and keeps its own latencies and counts.
+  const auto run_query = [&store, span](std::size_t q) -> std::uint64_t {
+    const util::SimTime from = static_cast<util::SimTime>(q % 7) * (span / 7);
+    switch (q % 3) {
+      case 0:
+        return store.stats("dash", from, span, 60 * util::kSecond).stats.count;
+      case 1:
+        return store.downsample("dash", from, span, 64).points.size();
+      default:
+        return store.deep_stats("dash", 0, span, 60 * util::kSecond)
+            .stats.count;
+    }
+  };
+  struct ReaderResult {
+    std::vector<double> latency_us;
+    std::uint64_t nonempty = 0;
+  };
+  std::vector<ReaderResult> results(kReaders);
+
   std::thread appender([&store, preload, queries] {
     for (std::size_t i = 0; i < queries * 20; ++i) {
       store.append("dash", {reading_at(preload + i)});
     }
   });
-  const auto span = static_cast<util::SimTime>(preload) * kDt;
   const auto t0 = Clock::now();
-  std::vector<std::future<std::uint64_t>> results;
-  results.reserve(queries);
-  for (std::size_t q = 0; q < queries; ++q) {
-    const util::SimTime from =
-        static_cast<util::SimTime>(q % 7) * (span / 7);
-    results.push_back(exec.submit([&store, from, span, q]() -> std::uint64_t {
-      switch (q % 3) {
-        case 0:
-          return store.stats("dash", from, span, 60 * util::kSecond).stats.count;
-        case 1:
-          return store.downsample("dash", from, span, 64).points.size();
-        default:
-          return store.deep_stats("dash", 0, span, 60 * util::kSecond)
-              .stats.count;
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      ReaderResult& out = results[r];
+      for (std::size_t q = r; q < queries; q += kReaders) {
+        const auto start = Clock::now();
+        const std::uint64_t n = run_query(q);
+        out.latency_us.push_back(seconds_since(start) * 1e6);
+        if (n > 0) ++out.nonempty;
       }
-    }));
+    });
   }
-  std::uint64_t completed = 0;
-  std::uint64_t nonempty = 0;
-  for (auto& fut : results) {
-    const std::uint64_t n = fut.get();
-    ++completed;
-    if (n > 0) ++nonempty;
-  }
+  for (auto& reader : readers) reader.join();
   const double secs = seconds_since(t0);
   appender.join();
 
-  if (completed != queries || nonempty != queries) {
-    std::printf("FAIL: %llu/%zu queries completed, %llu nonempty\n",
-                static_cast<unsigned long long>(completed), queries,
+  util::PercentileTracker latency;
+  std::uint64_t nonempty = 0;
+  for (const ReaderResult& result : results) {
+    for (const double us : result.latency_us) latency.add(us);
+    nonempty += result.nonempty;
+  }
+  if (latency.count() != queries || nonempty != queries) {
+    std::printf("FAIL: %zu/%zu queries completed, %llu nonempty\n",
+                latency.count(), queries,
                 static_cast<unsigned long long>(nonempty));
     std::exit(1);
   }
-  const auto served_delta =
-      obs::metrics().counter("hist.reads_served").value() - served_before;
-  if (served_delta + exec.inline_runs() < queries) {
-    std::puts("FAIL: executor lost queries (served + inline < submitted)");
-    std::exit(1);
-  }
   std::vector<std::vector<std::string>> rows;
-  rows.push_back({std::to_string(queries), std::to_string(exec.threads()),
-                  std::to_string(served_delta),
-                  std::to_string(exec.inline_runs()),
+  rows.push_back({std::to_string(queries), std::to_string(kReaders),
                   util::format("%.0f", static_cast<double>(queries) / secs),
-                  util::format("%.1f", secs * 1e6 /
-                                           static_cast<double>(queries))});
-  std::puts(util::render_table({"queries", "workers", "served on workers",
-                                "shed inline", "queries/s", "us/query"},
+                  util::format("%.1f", latency.p50()),
+                  util::format("%.1f", latency.p99())});
+  std::puts(util::render_table({"queries", "readers", "queries/s",
+                                "p50 us/query", "p99 us/query"},
                                rows)
                 .c_str());
 }

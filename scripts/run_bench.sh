@@ -16,8 +16,10 @@
 # fan-out row is a hard regression gate), and BENCH_historian.txt the
 # pipelined feeder-ingest delta plus the PERF-7 compressed-retention tables:
 # Gorilla sealed-block ratio per signal shape (the steady row is a hard >=5x
-# gate), tiered retention per byte, and the concurrent read-executor sweep. BENCH_flow.txt sweeps the streaming
-# dataflow's stage reduction and sensor count, edge-fused vs central relay.
+# gate), tiered retention per byte, and the concurrent sweep (four reader
+# threads racing an appender on the store, p50/p99 per query).
+# BENCH_flow.txt sweeps the streaming dataflow's stage reduction and sensor
+# count, edge-fused vs central relay.
 # bench_discovery (google-benchmark) sweeps federated-registry operations to
 # 1e6 entries — register/renew/lookup-by-id must stay near-flat (PERF-6) —
 # and BENCH_lease_churn.txt carries the renewAll message counts against

@@ -2,11 +2,11 @@
 # Build and run the tier-1 test suite under ThreadSanitizer.
 #
 # The obs hot paths (Counter/Gauge/Histogram updates, SpanCollector::record)
-# are exercised from the historian read executor's workers and from reader
-# threads sharing one composite's single-flight collection over the wire,
-# whose reused collection job passes between those threads under the
-# composite's collection mutex; this is the standing proof they stay
-# race-free. Usage:
+# are exercised from test threads and from reader threads sharing one
+# composite's single-flight collection over the wire, whose reused
+# collection job passes between those threads under the composite's
+# collection mutex; historian reader threads race an appender on the store.
+# This is the standing proof they stay race-free. Usage:
 #
 #   scripts/run_tsan.sh [build-dir]    # default build-tsan
 #

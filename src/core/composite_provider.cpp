@@ -1,6 +1,7 @@
 #include "core/composite_provider.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -263,19 +264,24 @@ CompositeSensorProvider::Collected CompositeSensorProvider::collect(
     std::vector<std::optional<double>>& values) {
   std::unique_lock lock(collect_mu_);
 
-  // Freshness window: a collection newer than the TTL answers the read
-  // outright — no fan-out, no latency charge.
-  if (cache_valid_ && policy_.freshness > 0 &&
-      scheduler_.now() - cache_time_ <= policy_.freshness) {
-    csp_metrics().cache_hits.add(1);
-    last_collection_latency_.store(0, std::memory_order_relaxed);
-    values = cached_values_;
-    return Collected{cache_time_, true};
-  }
+  // Every loop that fans out re-checks `composition_` when it lands: values
+  // collected for a composition that changed in flight line up with the old
+  // component list, so they are dropped and collected again. The cache only
+  // ever holds values of the current composition.
+  for (;;) {
+    // Freshness window: a collection newer than the TTL answers the read
+    // outright — no fan-out, no latency charge.
+    if (cache_valid_ && policy_.freshness > 0 &&
+        scheduler_.now() - cache_time_ <= policy_.freshness) {
+      csp_metrics().cache_hits.add(1);
+      last_collection_latency_.store(0, std::memory_order_relaxed);
+      values = cached_values_;
+      return Collected{cache_time_, true};
+    }
+    if (!collect_in_flight_) break;
 
-  // Single-flight: if another reader is already collecting, wait for its
-  // flight to land and share the result instead of fanning out again.
-  if (collect_in_flight_) {
+    // Single-flight: if another reader is already collecting, wait for its
+    // flight to land and share the result instead of fanning out again.
     if (collect_owner_ == std::this_thread::get_id()) {
       // Re-entrant read on the collecting thread itself — the in-flight
       // fan-out pumps the virtual-time scheduler, which can fire a timer
@@ -291,40 +297,52 @@ CompositeSensorProvider::Collected CompositeSensorProvider::collect(
         return Collected{cache_time_, true};
       }
       const std::shared_ptr<sorcer::Job> job = build_collection();
+      const std::uint64_t composition = composition_;
       lock.unlock();
       util::SimDuration latency = 0;
       fan_out(job, values, &latency);
-      return Collected{scheduler_.now(), false};
+      lock.lock();
+      if (composition == composition_) {
+        return Collected{scheduler_.now(), false};
+      }
+      continue;
     }
     csp_metrics().coalesced.add(1);
     const std::uint64_t waited_for = collect_generation_;
     collect_cv_.wait(lock,
                      [&] { return collect_generation_ != waited_for; });
-    last_collection_latency_.store(0, std::memory_order_relaxed);
-    values = cached_values_;
-    return Collected{cache_time_, true};
+    if (cache_valid_) {
+      last_collection_latency_.store(0, std::memory_order_relaxed);
+      values = cached_values_;
+      return Collected{cache_time_, true};
+    }
+    // The cache was invalidated after that flight landed; look again.
   }
   collect_in_flight_ = true;
   collect_owner_ = std::this_thread::get_id();
+  csp_metrics().cache_misses.add(1);
 
   // The collection job survives across reads until the composition
   // changes; the flight holds it alone while it is in the air.
-  std::shared_ptr<sorcer::Job> job = std::move(idle_job_);
-  if (!job) job = build_collection();
-  const std::uint64_t composition = composition_;
-  lock.unlock();
-
-  csp_metrics().cache_misses.add(1);
-  csp_metrics().collections.add(1);
+  std::shared_ptr<sorcer::Job> job;
+  std::uint64_t composition = 0;
   util::SimDuration latency = 0;
-  fan_out(job, values, &latency);
-  last_collection_latency_.store(latency, std::memory_order_relaxed);
-  csp_metrics().collection_latency.observe(static_cast<double>(latency));
+  do {
+    job = std::move(idle_job_);
+    if (!job) job = build_collection();
+    composition = composition_;
+    lock.unlock();
 
-  lock.lock();
-  if (composition == composition_ && sole_holder(job)) {
-    idle_job_ = std::move(job);
-  }
+    csp_metrics().collections.add(1);
+    util::SimDuration flight = 0;
+    fan_out(job, values, &flight);
+    csp_metrics().collection_latency.observe(static_cast<double>(flight));
+    latency += flight;
+    lock.lock();
+  } while (composition != composition_);
+  last_collection_latency_.store(latency, std::memory_order_relaxed);
+
+  if (sole_holder(job)) idle_job_ = std::move(job);
   cached_values_ = values;
   cache_time_ = scheduler_.now();
   cache_valid_ = true;
@@ -346,6 +364,9 @@ util::Result<double> CompositeSensorProvider::read_value(
   }
   ReadBuffers& buffers = read_buffers();
   const Collected collected = collect(buffers.collected);
+  // collect() answers on the current composition: position i is
+  // components_[i].
+  assert(buffers.collected.size() == components_.size());
 
   std::vector<double>& values = buffers.values;
   values.clear();

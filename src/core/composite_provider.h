@@ -141,7 +141,8 @@ class CompositeSensorProvider : public sorcer::ServiceProvider,
 
   /// Collect current values of all components into `values`, honouring
   /// the freshness cache and coalescing concurrent callers onto one
-  /// in-flight fan-out.
+  /// in-flight fan-out. `values` lines up with the composition current at
+  /// return: a flight that a composition change overtakes collects again.
   Collected collect(std::vector<std::optional<double>>& values);
 
   /// The actual fan-out of `job` (renewed first): federated when a

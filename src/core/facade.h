@@ -81,8 +81,8 @@ class SensorcerFacade : public sorcer::ServiceProvider {
                                                     std::size_t points = 64);
 
   /// Dashboard fan-out: one downsample query per sensor, exerted as a
-  /// scatter-gather batch (overlapped wire round-trips, like get_values)
-  /// and served by the historian's read executor. Results are positional.
+  /// scatter-gather batch (overlapped wire round-trips, like get_values).
+  /// Results are positional.
   std::vector<util::Result<hist::SeriesResult>> query_downsample_many(
       const std::vector<std::string>& sensors, util::SimTime from,
       util::SimTime to, std::size_t points = 64);

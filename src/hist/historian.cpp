@@ -50,11 +50,6 @@ Historian::Historian(std::string name, HistorianConfig config,
     : ServiceProvider(std::move(name), {core::kDataCollectionType}),
       store_(std::move(config)),
       costs_(costs) {
-  const HistorianConfig& cfg = store_.config();
-  if (cfg.read_threads > 0) {
-    read_exec_ = std::make_unique<ReadExecutor>(
-        ReadExecutor::Config{cfg.read_threads, cfg.read_queue});
-  }
   install_operations();
 }
 
@@ -123,10 +118,8 @@ void Historian::install_operations() {
           auto r = get_time(ctx, core::path::kHistResolution);
           if (r.is_ok()) resolution = r.value();
         }
-        const std::string& sensor = sensor_name.value();
-        const StatsResult result = serve_read([&] {
-          return store_.stats(sensor, from.value(), to.value(), resolution);
-        });
+        const StatsResult result = store_.stats(
+            sensor_name.value(), from.value(), to.value(), resolution);
         ctx.put(core::path::kHistCount,
                 static_cast<std::int64_t>(result.stats.count),
                 sorcer::PathDirection::kOut);
@@ -172,10 +165,8 @@ void Historian::install_operations() {
             max_points = static_cast<std::size_t>(p.value());
           }
         }
-        const std::string& sensor = sensor_name.value();
-        const SeriesResult result = serve_read([&] {
-          return store_.range(sensor, from.value(), to.value(), max_points);
-        });
+        const SeriesResult result = store_.range(
+            sensor_name.value(), from.value(), to.value(), max_points);
         pending_extra_ = static_cast<util::SimDuration>(result.points.size()) *
                          costs_.per_point;
         put_points(ctx, result);
@@ -200,11 +191,8 @@ void Historian::install_operations() {
             target_points = static_cast<std::size_t>(p.value());
           }
         }
-        const std::string& sensor = sensor_name.value();
-        const SeriesResult result = serve_read([&] {
-          return store_.downsample(sensor, from.value(), to.value(),
-                                   target_points);
-        });
+        const SeriesResult result = store_.downsample(
+            sensor_name.value(), from.value(), to.value(), target_points);
         pending_extra_ = static_cast<util::SimDuration>(result.points.size()) *
                          costs_.per_point;
         put_points(ctx, result);

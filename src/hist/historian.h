@@ -11,18 +11,14 @@
 // multi-resolution rollup rings, so wide aggregate queries are answered
 // from O(buckets) rollup state instead of rescanning readings.
 //
-// Query ops are dispatched onto the read-side executor (read_executor.h):
-// the op thread submits the store scan and blocks on the future, so heavy
-// decode work runs on executor workers — never under the provider's
-// invocation lock contended by ingest — and overflow sheds back inline.
+// Every operation, ingest and query alike, runs on the thread that
+// dispatches it, under the provider's invocation lock: the query ops call
+// the store directly. Concurrency between dashboard requests comes from
+// their round trips overlapping on the fabric, not from threads.
 
-#include <memory>
 #include <string>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
-#include "hist/read_executor.h"
 #include "hist/store.h"
 #include "sensor/reading.h"
 #include "sorcer/provider.h"
@@ -50,10 +46,6 @@ class Historian final : public sorcer::ServiceProvider {
   [[nodiscard]] HistorianStore& store() { return store_; }
   [[nodiscard]] const HistorianStore& store() const { return store_; }
 
-  /// The read-side executor; nullptr when config.read_threads == 0
-  /// (queries then run inline on the op thread).
-  [[nodiscard]] ReadExecutor* read_executor() { return read_exec_.get(); }
-
   /// Decode one series' parallel columns back into readings, clamped to
   /// the shorter of timestamps/values (the single-series case of
   /// for_each_series in append_batch.h).
@@ -69,20 +61,7 @@ class Historian final : public sorcer::ServiceProvider {
  private:
   void install_operations();
 
-  /// Run a store scan on the read executor and wait for its result. The
-  /// closure touches only the (internally synchronized) store — never the
-  /// context or the provider lock — so blocking here cannot deadlock.
-  template <typename F>
-  auto serve_read(F&& fn) -> std::invoke_result_t<F> {
-    if (read_exec_ != nullptr) {
-      return read_exec_->submit(std::forward<F>(fn)).get();
-    }
-    return fn();
-  }
-
   HistorianStore store_;
-  /// Declared after store_, so it joins its workers before store_ dies.
-  std::unique_ptr<ReadExecutor> read_exec_;
   HistorianCosts costs_;
   /// Work-proportional latency of the operation just executed; read by
   /// extra_invocation_latency under the provider's invocation lock.

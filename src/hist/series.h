@@ -16,8 +16,7 @@
 // behind a shared_ptr. A deep read locks only long enough to copy the
 // bounded active block and grab the chain pointer, then decodes/scans
 // compressed history entirely lock-free — readers never block the append
-// path for more than that bounded copy (the seqlock-spirit coordination
-// the read executor relies on).
+// path for more than that bounded copy (seqlock-spirit coordination).
 //
 // Queries go through a tiny planner: a stats or downsample request names
 // the coarsest bucket width it can accept and is answered from the

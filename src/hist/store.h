@@ -5,8 +5,8 @@
 // name) so concurrent callers contend only per shard.
 // Since PR 10 each series is internally thread-safe (active block + sealed
 // chain snapshots): queries grab the segment's shared_ptr under a brief
-// shard lock and then run entirely off-lock, so the read executor's workers
-// never serialize behind an appender holding a shard.
+// shard lock and then run entirely off-lock, so a reader thread never
+// serializes behind an appender holding a shard.
 //
 // Byte accounting is split by storage class — uncompressed (active blocks +
 // rollup rings), sealed (compressed blocks, footers included) and tiered
@@ -40,11 +40,9 @@ struct HistorianConfig {
   std::size_t max_bytes = 64 * 1024 * 1024;
   /// Shard count (power of two recommended); clamped to >= 1.
   std::size_t shards = 16;
-  /// Read-side executor serving the provider's query ops: worker threads
-  /// (0 = serve queries inline on the op thread) and bounded queue depth
-  /// (overflow sheds the query back to the caller's thread).
+  /// Ignored: queries always run on the op thread. Kept so configs that
+  /// set it still compile.
   std::size_t read_threads = 2;
-  std::size_t read_queue = 256;
 };
 
 /// Outcome of one append batch.

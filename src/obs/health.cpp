@@ -157,8 +157,8 @@ std::string render_federation_health(const Snapshot& snap) {
        std::to_string(snap.counter_or("hist.query_rollup")) + " / " +
            std::to_string(snap.counter_or("hist.query_tiered")) + " / " +
            std::to_string(snap.counter_or("hist.query_raw"))});
-  // Compressed retention (PR 10): sealed-chain compression, the
-  // storage-class byte split and the read executor's admission queue.
+  // Compressed retention: sealed-chain compression and the
+  // storage-class byte split.
   rows.push_back(
       {"historian", "compression ratio / sealed blocks",
        util::format("%.1fx", snap.gauge_or("hist.compression_ratio")) + " / " +
@@ -169,11 +169,6 @@ std::string render_federation_health(const Snapshot& snap) {
                     snap.gauge_or("hist.bytes_uncompressed"),
                     snap.gauge_or("hist.bytes_sealed"),
                     snap.gauge_or("hist.bytes_tiered"))});
-  rows.push_back(
-      {"historian", "read queue depth / served / inline",
-       util::format("%.0f", snap.gauge_or("hist.read_queue_depth")) + " / " +
-           std::to_string(snap.counter_or("hist.reads_served")) + " / " +
-           std::to_string(snap.counter_or("hist.read_inline"))});
   rows.push_back({"historian", "feeder pushed / dropped",
                   std::to_string(snap.counter_or("hist.feeder_pushed")) +
                       " / " +

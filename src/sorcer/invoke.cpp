@@ -65,7 +65,7 @@ RemoteInvoker::RemoteInvoker(simnet::Network& net, InvokeConfig config)
 
 RemoteInvoker::~RemoteInvoker() { net_.detach(addr_); }
 
-std::uint64_t RemoteInvoker::open_call() {
+std::uint64_t RemoteInvoker::open_call(ServiceContext* reply_into) {
   std::uint32_t index = 0;
   if (free_calls_.empty()) {
     index = static_cast<std::uint32_t>(calls_.size());
@@ -77,6 +77,7 @@ std::uint64_t RemoteInvoker::open_call() {
   CallSlot& slot = calls_[index];
   slot.call_id = (next_serial_++ << 32) | index;
   slot.landed = false;
+  slot.reply_into = reply_into;
   ++awaiting_;
   invoke_metrics().outstanding.set(static_cast<double>(awaiting_));
   return slot.call_id;
@@ -99,6 +100,7 @@ void RemoteInvoker::close_call(std::uint64_t call_id) {
     invoke_metrics().outstanding.set(static_cast<double>(awaiting_));
   }
   slot->call_id = 0;
+  slot->reply_into = nullptr;
   free_calls_.push_back(static_cast<std::uint32_t>(call_id));
 }
 
@@ -118,14 +120,34 @@ void RemoteInvoker::on_message(simnet::Message& msg) {
   slot->landed = true;
   --awaiting_;
   invoke_metrics().outstanding.set(static_cast<double>(awaiting_));
+  util::Status status = std::move(rsp->transport_status);
+  if (status.code() == util::ErrorCode::kCodecDesync) {
+    // The provider lost our request-intern stream (the message that
+    // carried its definitions was dropped): restart the stream so the
+    // retry re-defines every path inline.
+    codec_.encode[msg.source].reset();
+  }
+  if (status.is_ok() && slot->reply_into != nullptr &&
+      !rsp->payload.empty()) {
+    // Merge the provider's outputs back into the issuing context — the
+    // requestor-side half of the real codec work the payload_bytes charge
+    // was sized from. Inputs the reply omits stay as they are. The source
+    // address selects the per-provider decode intern table.
+    MarshalTimer timer;
+    status = decode_context(rsp->payload.data(), rsp->payload.size(),
+                            codec_.decode[msg.source], *slot->reply_into,
+                            Leg::kReply);
+    if (status.code() == util::ErrorCode::kCodecDesync) {
+      // Our side of the response stream is broken; the next request tells
+      // the provider to restart it.
+      reply_reset_.insert(msg.source);
+    }
+  }
+  codec_.buffers.release(std::move(rsp->payload));
   // Stamp the arrival time: an outer pump frame may gather this response
   // later in virtual time, and the call's RTT must not include that gap.
-  // The payload moves into the row so a late harvest can still unmarshal;
-  // the source address selects the per-provider decode intern table.
-  slot->arrival.status = std::move(rsp->transport_status);
+  slot->arrival.status = std::move(status);
   slot->arrival.at = net_.scheduler().now();
-  slot->arrival.payload = std::move(rsp->payload);
-  slot->arrival.from = msg.source;
 }
 
 bool RemoteInvoker::pump_until(std::uint64_t call_id, util::SimTime deadline) {
@@ -252,7 +274,7 @@ PendingCall RemoteInvoker::begin_invoke(
   req.destination = provider->network_address();
   req.topic = wire::kRequestTopic;
   req.payload_bytes = payload.size() + wire::kFlatRequestEnvelopeBytes;
-  call.call_id_ = open_call();
+  call.call_id_ = open_call(&exertion->context());
   wire::Request body{call.call_id_, addr_, exertion, txn, std::move(payload)};
   // Re-armed on every failed decode, so a lost flagged request just means
   // the next retry carries the flag again.
@@ -277,7 +299,7 @@ PendingCall RemoteInvoker::begin_invoke(
   return call;
 }
 
-void RemoteInvoker::finish_call(PendingCall& call, Arrival* arrival) {
+void RemoteInvoker::finish_call(PendingCall& call, const Arrival* arrival) {
   if (arrival != nullptr) {
     // The round trip advanced the virtual clock by the real wire delays
     // plus the provider's modeled service time; top the exertion's latency
@@ -290,29 +312,7 @@ void RemoteInvoker::finish_call(PendingCall& call, Arrival* arrival) {
       call.exertion_->add_latency(call.elapsed_ - accrued);
     }
     invoke_metrics().rtt_us.observe(static_cast<double>(call.elapsed_));
-    util::Status transport_status = arrival->status;
-    if (transport_status.code() == util::ErrorCode::kCodecDesync) {
-      // The provider lost our request-intern stream (the message that
-      // carried its definitions was dropped): restart the stream so the
-      // retry re-defines every path inline.
-      codec_.encode[arrival->from].reset();
-    }
-    if (transport_status.is_ok() && !arrival->payload.empty()) {
-      // Merge the provider's outputs back into the exertion's context — the
-      // requestor-side half of the real codec work the payload_bytes charge
-      // was sized from. Inputs the reply omits stay as they are.
-      MarshalTimer timer;
-      transport_status =
-          decode_context(arrival->payload.data(), arrival->payload.size(),
-                         codec_.decode[arrival->from],
-                         call.exertion_->context(), Leg::kReply);
-      if (transport_status.code() == util::ErrorCode::kCodecDesync) {
-        // Our side of the response stream is broken; the next request tells
-        // the provider to restart it.
-        reply_reset_.insert(arrival->from);
-      }
-    }
-    codec_.buffers.release(std::move(arrival->payload));
+    const util::Status& transport_status = arrival->status;
     if (!transport_status.is_ok()) {
       call.span_.set_ok(false);
       // Mark the exertion too: the retry/substitution machinery keys off
@@ -404,7 +404,7 @@ util::Status RemoteInvoker::ping(simnet::Address target,
                                  util::SimDuration timeout) {
   invoke_metrics().pings.add(1);
   util::Scheduler& sched = net_.scheduler();
-  const std::uint64_t call_id = open_call();
+  const std::uint64_t call_id = open_call(nullptr);
 
   simnet::Message msg;
   msg.source = addr_;

@@ -91,7 +91,7 @@ struct Request {
 /// Response body. `transport_status` reports dispatch-layer failures only;
 /// application failures travel inside the exertion itself. `payload` is the
 /// flat-codec encoding of the post-dispatch context, decoded requestor-side
-/// on gather and then recycled into the requestor's BufferPool.
+/// as it lands and then recycled into the requestor's BufferPool.
 struct Response {
   std::uint64_t call_id = 0;
   util::Status transport_status = util::Status::ok();
@@ -114,8 +114,9 @@ struct InvokeConfig {
 /// One scattered invocation, owned by its issuer until gathered through
 /// pump_until_all(). A call that never crossed the fabric — null input, an
 /// unreachable target — is born completed with its result already in
-/// place. Move-only: the invoker keeps only the call id in its call table;
-/// the handle is the sole completion slot.
+/// place. Move-only: the invoker keeps only the call id and the context the
+/// response decodes into in its call table; the handle is the sole
+/// completion slot.
 class PendingCall {
  public:
   PendingCall() = default;
@@ -222,14 +223,11 @@ class RemoteInvoker {
   };
   friend struct PumpGuard;
 
-  /// A response that landed but has not been gathered yet: the dispatch
-  /// status, when it arrived (virtual time), its encoded context payload
-  /// and the provider endpoint that sent it (selects the decode table).
+  /// A response that landed but has not been gathered yet: its status
+  /// (dispatch or decode failure) and when it arrived (virtual time).
   struct Arrival {
     util::Status status;
     util::SimTime at = 0;
-    WireBuffer payload;
-    simnet::Address from;
   };
 
   /// One row of the flat call table. A row is open from send until its
@@ -239,22 +237,30 @@ class RemoteInvoker {
   struct CallSlot {
     std::uint64_t call_id = 0;  // 0 = free
     bool landed = false;
+    /// The issuing exertion's context, which the response is decoded into
+    /// as it lands; null for pings. The issuer's PendingCall keeps the
+    /// exertion alive until the row closes.
+    ServiceContext* reply_into = nullptr;
     Arrival arrival;
   };
 
-  /// Open a row and return its call id. The id's low 32 bits index
-  /// calls_; the high bits are a serial that never repeats, so a late
-  /// response for a recycled row is recognised as stale.
-  std::uint64_t open_call();
+  /// Open a row for a call whose response decodes into `reply_into` and
+  /// return its call id. The id's low 32 bits index calls_; the high bits
+  /// are a serial that never repeats, so a late response for a recycled
+  /// row is recognised as stale.
+  std::uint64_t open_call(ServiceContext* reply_into);
   /// The open row for `call_id`, or null when it was closed.
   CallSlot* find_call(std::uint64_t call_id);
   void close_call(std::uint64_t call_id);
 
   /// Complete `call` from its arrived response (latency top-up from the
   /// response's arrival time, not the harvest time — an outer pump frame may
-  /// gather it later; payload decoded into the exertion's context and
-  /// recycled) or, when `arrival` is null, from deadline expiry.
-  void finish_call(PendingCall& call, Arrival* arrival);
+  /// gather it later) or, when `arrival` is null, from deadline expiry.
+  void finish_call(PendingCall& call, const Arrival* arrival);
+  /// Land a response: decode its payload into the issuing context at once,
+  /// in arrival order, since later replies from a provider may use path
+  /// ids that earlier ones defined; nested pump frames harvest out of
+  /// that order.
   void on_message(simnet::Message& msg);
   /// Pump the fabric until `call_id` lands or `deadline` passes.
   /// Returns true when it landed.

@@ -11,7 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
-#include <future>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <thread>
@@ -21,7 +21,6 @@
 #include "hist/append_batch.h"
 #include "hist/feeder.h"
 #include "hist/historian.h"
-#include "hist/read_executor.h"
 #include "hist/rollup.h"
 #include "hist/series.h"
 #include "hist/store.h"
@@ -467,33 +466,6 @@ TEST(SensorSeries, ShedColdestFreesTiersBeforeSealedBlocks) {
   }
   EXPECT_EQ(series.footprint().sealed_bytes, 0u);
   EXPECT_EQ(series.footprint().tier_bytes, 0u);
-}
-
-// --- read executor --------------------------------------------------------------------------
-
-TEST(ReadExecutor, BoundedQueueShedsOverflowToCaller) {
-  ReadExecutor exec(ReadExecutor::Config{1, 1});
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  // Occupy the single worker (wait for it to actually dequeue: queue depth
-  // counts admitted-not-yet-started queries)...
-  auto blocked = exec.submit([opened] { opened.wait(); return 1; });
-  while (exec.depth() != 0) std::this_thread::yield();
-  // ...fill the queue to capacity...
-  auto queued = exec.submit([opened] { opened.wait(); return 2; });
-  // ...and overflow: the third query must run inline, right now, without
-  // waiting on the stuck worker (shed-to-caller keeps overload deadlock-free).
-  auto inline_fut = exec.submit([] { return 3; });
-  EXPECT_EQ(inline_fut.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_EQ(inline_fut.get(), 3);
-  EXPECT_GE(exec.inline_runs(), 1u);
-
-  gate.set_value();
-  EXPECT_EQ(blocked.get(), 1);
-  EXPECT_EQ(queued.get(), 2);
-  EXPECT_EQ(exec.depth(), 0u);
-  EXPECT_GE(exec.served(), 2u);
 }
 
 TEST(SensorSeries, ConcurrentReadersNeverBlockOrTearWhileAppending) {
@@ -964,18 +936,14 @@ TEST(HistorianDeployment, SampledReadingsReachTheHistorianAndTheFacade) {
   EXPECT_EQ(range.value().points.size(), stats.value().stats.count);
 }
 
-TEST(HistorianDeployment, DashboardFanOutServesQueriesOffTheReadExecutor) {
+TEST(HistorianDeployment, DashboardFanOutAnswersEachSensorPositionally) {
   core::DeploymentConfig config;
   config.history_feed.flush_period = 2 * kSecond;
   core::Deployment lab(config);
   lab.add_temperature_sensor("Oak-Sensor", 20.0);
   lab.add_temperature_sensor("Elm-Sensor", 22.0);
   lab.pump(30 * kSecond);
-
   ASSERT_NE(lab.historian(), nullptr);
-  ASSERT_NE(lab.historian()->read_executor(), nullptr)
-      << "default config must deploy the read executor";
-  const auto served_before = counter("hist.reads_served");
 
   // One dashboard page: downsample every sensor in a single scatter-gather
   // batch, positional results.
@@ -990,10 +958,34 @@ TEST(HistorianDeployment, DashboardFanOutServesQueriesOffTheReadExecutor) {
   // Unknown sensors answer an empty series, not a batch failure.
   ASSERT_TRUE(page[2].is_ok());
   EXPECT_TRUE(page[2].value().points.empty());
+}
 
-  // The queries were served by executor workers, visibly in obs metrics.
-  EXPECT_GT(counter("hist.reads_served"), served_before);
-  EXPECT_EQ(lab.historian()->read_executor()->depth(), 0u);
+/// Threads of this process, one /proc/self/task entry each.
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(HistorianDeployment, ServingADashboardPageStartsNoThread) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task to count threads in";
+  }
+  // Every query runs on the op thread; concurrency is round trips
+  // overlapped on the fabric, so booting and serving adds no thread.
+  const std::size_t before = process_threads();
+  core::Deployment lab{core::DeploymentConfig{}};
+  lab.add_temperature_sensor("Oak-Sensor", 20.0);
+  lab.pump(10 * kSecond);
+  const auto page = lab.facade().query_downsample_many({"Oak-Sensor"}, 0,
+                                                       lab.now(), 16);
+  ASSERT_EQ(page.size(), 1u);
+  ASSERT_TRUE(page[0].is_ok());
+  EXPECT_GT(page[0].value().points.size(), 0u);
+  EXPECT_EQ(process_threads(), before);
 }
 
 TEST(HistorianDeployment, WireModeIngestionIsByteAccounted) {

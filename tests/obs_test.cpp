@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,7 +19,6 @@
 #include "obs/trace.h"
 #include "simnet/network.h"
 #include "util/scheduler.h"
-#include "util/thread_pool.h"
 
 namespace sensorcer {
 namespace {
@@ -94,21 +94,22 @@ TEST(ObsMetrics, ConcurrentUpdatesFromPoolWorkersAreExact) {
   obs::Gauge& g = reg.gauge("level");
   obs::Histogram& h = reg.histogram("obs");
 
+  constexpr int kThreads = 8;
   constexpr int kTasks = 32;
   constexpr int kPerTask = 2000;
-  util::ThreadPool pool(8);
-  std::vector<std::future<void>> futures;
-  futures.reserve(kTasks);
-  for (int t = 0; t < kTasks; ++t) {
-    futures.push_back(pool.submit([&] {
-      for (int i = 0; i < kPerTask; ++i) {
-        c.add(1);
-        g.add(1.0);
-        h.observe(250.0);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&] {
+      for (int t = 0; t < kTasks / kThreads; ++t) {
+        for (int i = 0; i < kPerTask; ++i) {
+          c.add(1);
+          g.add(1.0);
+          h.observe(250.0);
+        }
       }
-    }));
+    });
   }
-  for (auto& f : futures) f.get();
+  for (auto& w : workers) w.join();
 
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kTasks) * kPerTask);
   EXPECT_DOUBLE_EQ(g.value(), static_cast<double>(kTasks) * kPerTask);
@@ -118,16 +119,17 @@ TEST(ObsMetrics, ConcurrentUpdatesFromPoolWorkersAreExact) {
 
 TEST(ObsMetrics, ConcurrentHandleResolutionIsSafe) {
   obs::Registry reg;
-  util::ThreadPool pool(8);
-  std::vector<std::future<void>> futures;
-  for (int t = 0; t < 16; ++t) {
-    futures.push_back(pool.submit([&] {
-      for (int i = 0; i < 200; ++i) {
-        reg.counter("shared." + std::to_string(i % 10)).add(1);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 8; ++w) {
+    workers.emplace_back([&] {
+      for (int t = 0; t < 2; ++t) {  // 16 tasks over 8 threads
+        for (int i = 0; i < 200; ++i) {
+          reg.counter("shared." + std::to_string(i % 10)).add(1);
+        }
       }
-    }));
+    });
   }
-  for (auto& f : futures) f.get();
+  for (auto& w : workers) w.join();
   std::uint64_t total = 0;
   for (int i = 0; i < 10; ++i) {
     total += reg.counter("shared." + std::to_string(i)).value();

@@ -141,6 +141,28 @@ TEST_F(ReadPathTest, SetExpressionInvalidatesCache) {
   EXPECT_LT(value.value(), 10.0);
 }
 
+TEST_F(ReadPathTest, ComponentAddedDuringAFlightJoinsTheNextCachedRead) {
+  lab.add_temperature_sensor("Hot-Sensor", 70.0);
+  lab.pump(kSecond);
+  auto csp = composite_of_two();
+
+  // A timer inside the first read's flight composes a third sensor. The
+  // values that flight brings back are for two components, so they must
+  // neither answer that read nor fill the cache.
+  lab.scheduler().schedule_after(lab.network().latency(), [&] {
+    EXPECT_TRUE(csp->add_component("Hot-Sensor").is_ok());
+  });
+  auto first = csp->get_value();
+  ASSERT_TRUE(first.is_ok());
+  EXPECT_GT(first.value(), 30.0) << "answered over the two-sensor flight";
+
+  const auto hits0 = cache_hits();
+  auto next = csp->get_value();  // inside the 10 s window
+  ASSERT_TRUE(next.is_ok());
+  EXPECT_EQ(cache_hits(), hits0 + 1);
+  EXPECT_GT(next.value(), 30.0) << "cache held the two-sensor collection";
+}
+
 TEST_F(ReadPathTest, ZeroFreshnessDisablesCache) {
   DeploymentConfig config;  // collection.freshness defaults to 0
   Deployment bare(config);
@@ -429,6 +451,26 @@ TEST_F(CollectionJobTest, CompositionChangeDuringAReadRebuildsTheJob) {
   EXPECT_LT(without_hot.value(), 32.5) << "read on the three-task job";
 }
 
+TEST_F(CollectionJobTest, DeadComponentRemovedDuringAReadIsNotReported) {
+  auto dead = lab.add_temperature_sensor("Dead", 70.0);
+  lab.pump(kSecond);
+  ASSERT_TRUE(csp->add_component("Dead").is_ok());
+  ASSERT_TRUE(csp->get_value().is_ok());
+  kill(*dead);
+
+  // The strict read's flight finds Dead unreachable, but a timer inside
+  // that flight removes it: the read answers over the two live components
+  // instead of reporting a component that is no longer composed.
+  lab.scheduler().schedule_after(lab.network().latency(), [this] {
+    EXPECT_TRUE(csp->remove_component("Dead").is_ok());
+  });
+  auto value = csp->get_value();
+  ASSERT_TRUE(value.is_ok()) << value.status().message();
+  ASSERT_EQ(csp->component_count(), 2u);
+  EXPECT_GT(value.value(), 18.0);
+  EXPECT_LT(value.value(), 33.0);
+}
+
 TEST(CollectionJobDiamondTest, SharedCompositeCollectsReentrantlyOnItsOwnJob) {
   // Shared sits under both Left and Right, so the first read of Root
   // reaches Shared twice on one stack: the second arrives while the first
@@ -450,14 +492,6 @@ TEST(CollectionJobDiamondTest, SharedCompositeCollectsReentrantlyOnItsOwnJob) {
   auto root = lab.manager().create_composite("Root");
   ASSERT_TRUE(root->add_component("Left").is_ok());
   ASSERT_TRUE(root->add_component("Right").is_ok());  // ~27.5
-
-  // Warm each sensor's reply intern stream first. The two collections of
-  // Shared call S1 and S2 interleaved, and a reply that defines a path id
-  // can be harvested after one that uses it (an inner pump frame gathers
-  // first), which a cold stream reports as a codec desync.
-  for (const char* sensor : {"S1", "S2", "S3"}) {
-    ASSERT_TRUE(lab.facade().get_value(sensor).is_ok());
-  }
 
   const auto built = jobs_built();
   auto value = root->get_value();

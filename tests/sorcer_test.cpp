@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "simnet/network.h"
@@ -15,7 +17,6 @@
 #include "sorcer/invoke.h"
 #include "sorcer/jobber.h"
 #include "sorcer/spacer.h"
-#include "util/thread_pool.h"
 
 namespace sensorcer::sorcer {
 namespace {
@@ -665,18 +666,16 @@ TEST(ExertSpaceTest, ConcurrentTakesAreExclusive) {
   constexpr int kTasks = 500;
   for (int i = 0; i < kTasks; ++i) space.write(Task::make("t", {}));
   std::atomic<int> taken{0};
-  {
-    util::ThreadPool pool(8);
-    for (int w = 0; w < 8; ++w) {
-      (void)pool.submit([&] {
-        while (auto env = space.take()) {
-          taken.fetch_add(1);
-          space.complete(env->id);
-        }
-      });
-    }
-    pool.wait_idle();
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 8; ++w) {
+    workers.emplace_back([&] {
+      while (auto env = space.take()) {
+        taken.fetch_add(1);
+        space.complete(env->id);
+      }
+    });
   }
+  for (auto& w : workers) w.join();
   EXPECT_EQ(taken.load(), kTasks);
   EXPECT_EQ(space.total_completed(), static_cast<std::uint64_t>(kTasks));
 }

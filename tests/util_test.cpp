@@ -1,10 +1,9 @@
 // Unit tests for the util foundation: ids, status/result, scheduler, rng,
-// stats, strings, thread pool.
+// stats, strings.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -19,7 +18,6 @@
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace sensorcer::util {
 namespace {
@@ -315,41 +313,6 @@ TEST(Strings, RenderTableAligns) {
       render_table({"name", "value"}, {{"a", "1"}, {"longer", "22"}});
   EXPECT_NE(table.find("| name   | value |"), std::string::npos);
   EXPECT_NE(table.find("| longer | 22    |"), std::string::npos);
-}
-
-// --- ThreadPool ------------------------------------------------------------------
-
-TEST(ThreadPool, ExecutesSubmittedWork) {
-  ThreadPool pool(4);
-  auto f = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, RunsManyTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) {
-    (void)pool.submit([&] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, WaitIdleOnFreshPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not deadlock
-  SUCCEED();
-}
-
-TEST(ThreadPool, DestructorDrainsQueue) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 100; ++i) {
-      (void)pool.submit([&] { count.fetch_add(1); });
-    }
-  }
-  EXPECT_EQ(count.load(), 100);
 }
 
 }  // namespace
