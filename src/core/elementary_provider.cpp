@@ -131,7 +131,7 @@ util::Result<sensor::Reading> ElementarySensorProvider::get_reading() {
   // would otherwise flood the collector with uncorrelated spans.
   obs::Span span;
   if (obs::current_context().valid()) {
-    span = obs::tracer().start_span("probe:" + provider_name());
+    span = obs::tracer().start_span({"probe:", provider_name()});
   }
   auto reading = probe_->read(scheduler_.now());
   if (!reading.is_ok()) {

@@ -1,6 +1,8 @@
 #include "core/facade.h"
 
 #include <algorithm>
+#include <charconv>
+#include <string_view>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -15,6 +17,21 @@ obs::Counter& facade_requests() {
   static obs::Counter& c = obs::metrics().counter("facade.requests");
   return c;
 }
+
+/// `n` in decimal, written into a stack buffer: a span-name part that
+/// allocates nothing.
+class Decimal {
+ public:
+  explicit Decimal(std::size_t n)
+      : end_(std::to_chars(digits_, digits_ + sizeof digits_, n).ptr) {}
+  operator std::string_view() const {
+    return {digits_, static_cast<std::size_t>(end_ - digits_)};
+  }
+
+ private:
+  char digits_[20]{};  // a 64-bit count has at most 20 digits
+  char* end_;
+};
 
 }  // namespace
 
@@ -41,7 +58,7 @@ util::Result<double> SensorcerFacade::get_value(
   // Root span for the whole request: the exertion and the probe reads it
   // triggers all nest below this context.
   obs::Span span =
-      obs::tracer().start_span("facade.getValue:" + service_name);
+      obs::tracer().start_span({"facade.getValue:", service_name});
   obs::ContextGuard guard(span.context());
   // Facade reads are service-to-service calls like any other: a task
   // exertion routed through the invocation pipeline, so they really cross
@@ -63,7 +80,7 @@ std::vector<util::Result<double>> SensorcerFacade::get_values(
     const std::vector<std::string>& service_names) {
   facade_requests().add(1);
   obs::Span span = obs::tracer().start_span(
-      util::format("facade.getValues[%zu]", service_names.size()));
+      {"facade.getValues[", Decimal(service_names.size()), "]"});
   obs::ContextGuard guard(span.context());
   std::vector<sorcer::ExertionPtr> batch;
   batch.reserve(service_names.size());
@@ -98,8 +115,8 @@ util::Result<sorcer::ExertionPtr> exert_hist_query(
     const std::string& sensor, util::SimTime from, util::SimTime to,
     std::int64_t extra, const char* extra_path) {
   facade_requests().add(1);
-  obs::Span span = obs::tracer().start_span(
-      std::string("facade.") + selector + ":" + sensor);
+  obs::Span span =
+      obs::tracer().start_span({"facade.", selector, ":", sensor});
   obs::ContextGuard guard(span.context());
   auto task = sorcer::Task::make(
       std::string("facade.hist:") + sensor,
@@ -200,7 +217,7 @@ SensorcerFacade::query_downsample_many(const std::vector<std::string>& sensors,
                                        std::size_t points) {
   facade_requests().add(1);
   obs::Span span = obs::tracer().start_span(
-      util::format("facade.histDownsampleMany[%zu]", sensors.size()));
+      {"facade.histDownsampleMany[", Decimal(sensors.size()), "]"});
   obs::ContextGuard guard(span.context());
   std::vector<sorcer::ExertionPtr> batch;
   batch.reserve(sensors.size());

@@ -20,19 +20,38 @@ std::int64_t wall_now_us() {
 
 }  // namespace
 
+void SpanEntry::set_name(SpanNameParts parts) {
+  std::size_t size = 0;
+  for (std::string_view part : parts) size += part.size();
+  char* out = inline_name;
+  spilled_name.reset();
+  if (size > kInlineName) {
+    spilled_name = std::make_unique_for_overwrite<char[]>(size);
+    out = spilled_name.get();
+  }
+  for (std::string_view part : parts) out += part.copy(out, part.size());
+  name_size = static_cast<std::uint32_t>(size);
+}
+
+SpanRecord SpanEntry::to_record() const {
+  return {trace_id,  span_id, parent_id,     std::string(name()),
+          sim_start, sim_end, wall_start_us, wall_end_us,
+          ok};
+}
+
 SpanCollector::SpanCollector(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {
   ring_.reserve(capacity_);
 }
 
-void SpanCollector::record(SpanRecord span) {
+void SpanCollector::record(SpanEntry&& entry) {
   std::lock_guard lock(mu_);
   ++recorded_;
   if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(span));
+    ring_.push_back(std::move(entry));
     return;
   }
-  ring_[next_] = std::move(span);
+  ring_[next_] = std::move(entry);
   next_ = (next_ + 1) % capacity_;
 }
 
@@ -41,7 +60,7 @@ std::vector<SpanRecord> SpanCollector::snapshot() const {
   std::vector<SpanRecord> out;
   out.reserve(ring_.size());
   for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
+    out.push_back(ring_[(next_ + i) % ring_.size()].to_record());
   }
   return out;
 }
@@ -73,42 +92,40 @@ void SpanCollector::clear() {
 
 Span::Span(Span&& other) noexcept
     : collector_(std::exchange(other.collector_, nullptr)),
-      record_(std::move(other.record_)) {}
+      entry_(std::move(other.entry_)) {}
 
 Span& Span::operator=(Span&& other) noexcept {
   if (this != &other) {
     finish();
     collector_ = std::exchange(other.collector_, nullptr);
-    record_ = std::move(other.record_);
+    entry_ = std::move(other.entry_);
   }
   return *this;
 }
 
 void Span::finish() {
   if (collector_ == nullptr) return;
-  record_.sim_end = sim_now();
-  record_.wall_end_us = wall_now_us();
-  collector_->record(std::move(record_));
+  entry_.sim_end = sim_now();
+  entry_.wall_end_us = wall_now_us();
+  collector_->record(std::move(entry_));
   collector_ = nullptr;
 }
 
-Span Tracer::start_span(std::string name, TraceContext parent) {
-  SpanRecord record;
-  record.span_id = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
+Span Tracer::start_span(SpanNameParts name, TraceContext parent) {
+  Span span;
+  SpanEntry& entry = span.entry_;
+  entry.span_id = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
   if (parent.valid()) {
-    record.trace_id = parent.trace_id;
-    record.parent_id = parent.span_id;
+    entry.trace_id = parent.trace_id;
+    entry.parent_id = parent.span_id;
   } else {
-    record.trace_id = record.span_id;  // root span opens the trace
+    entry.trace_id = entry.span_id;  // root span opens the trace
   }
-  record.name = std::move(name);
-  record.sim_start = sim_now();
-  record.wall_start_us = wall_now_us();
-  return Span(&collector_, std::move(record));
-}
-
-Span Tracer::start_span(std::string name) {
-  return start_span(std::move(name), current_context());
+  entry.set_name(name);
+  entry.sim_start = sim_now();
+  entry.wall_start_us = wall_now_us();
+  span.collector_ = &collector_;
+  return span;
 }
 
 TraceContext current_context() { return t_current_context; }

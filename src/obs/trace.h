@@ -18,10 +18,18 @@
 // Propagation is explicit across a scatter-gather batch (the Jobber stamps
 // each child exertion before scattering it) and implicit within one thread
 // (a thread_local current context, scoped by ContextGuard).
+//
+// A span is named from parts — a static op plus views of names that already
+// exist — joined into an inline buffer that the span and then its ring
+// entry hold, so a warm span allocates nothing from start to record. Only
+// snapshot()/trace() build std::string names, for the consumers.
 
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/scheduler.h"
@@ -41,7 +49,7 @@ struct TraceContext {
   static constexpr std::size_t kWireBytes = 16;
 };
 
-/// A finished (or in-flight) span as stored by the collector.
+/// A finished span as the collector hands it out.
 struct SpanRecord {
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;
@@ -54,14 +62,45 @@ struct SpanRecord {
   bool ok = true;
 };
 
-/// Bounded ring buffer of finished spans. record() is thread-safe (spans
-/// finish on Jobber/Spacer worker threads); when full, the oldest span is
-/// overwritten and counted as dropped.
+/// The parts whose concatenation names a span: a static op such as
+/// "exert:" plus views of names that already exist, so no call site builds
+/// a string to name a span.
+using SpanNameParts = std::initializer_list<std::string_view>;
+
+/// A span as it is carried while open and kept in the collector's ring once
+/// finished. The name is joined into a fixed inline buffer, so starting,
+/// finishing and recording a span allocate nothing. A name longer than the
+/// buffer is kept whole in a heap copy that belongs to this entry alone.
+struct SpanEntry {
+  /// Room for the names the framework's read paths start: the longest in
+  /// perfbench's workloads, "rpc:flow-sink:edge-mean->Historian", is 34.
+  static constexpr std::size_t kInlineName = 48;
+
+  std::uint64_t trace_id = 0;
+  std::uint64_t span_id = 0;
+  std::uint64_t parent_id = 0;  // 0 = root
+  util::SimTime sim_start = 0;
+  util::SimTime sim_end = 0;
+  std::int64_t wall_start_us = 0;
+  std::int64_t wall_end_us = 0;
+  char inline_name[kInlineName]{};
+  std::unique_ptr<char[]> spilled_name;  // set only past kInlineName
+  std::uint32_t name_size = 0;
+  bool ok = true;
+
+  void set_name(SpanNameParts parts);
+  [[nodiscard]] std::string_view name() const {
+    return {spilled_name ? spilled_name.get() : inline_name, name_size};
+  }
+  [[nodiscard]] SpanRecord to_record() const;
+};
+
+/// Bounded ring buffer of finished spans. Recording is thread-safe (spans
+/// may finish on any thread); when full, the oldest span is overwritten and
+/// counted as dropped.
 class SpanCollector {
  public:
   explicit SpanCollector(std::size_t capacity = 8192);
-
-  void record(SpanRecord span);
 
   /// All retained spans, oldest first.
   [[nodiscard]] std::vector<SpanRecord> snapshot() const;
@@ -76,9 +115,13 @@ class SpanCollector {
   void clear();
 
  private:
+  friend class Span;
+  /// The one record path: Span::finish hands its entry over.
+  void record(SpanEntry&& entry);
+
   mutable std::mutex mu_;
   std::size_t capacity_;
-  std::vector<SpanRecord> ring_;
+  std::vector<SpanEntry> ring_;  // reserved up front: recording never grows it
   std::size_t next_ = 0;  // ring_[next_] is the oldest once wrapped
   std::uint64_t recorded_ = 0;
 };
@@ -99,42 +142,46 @@ class Span {
 
   /// Context to hand to children / stamp on messages and exertions.
   [[nodiscard]] TraceContext context() const {
-    return {record_.trace_id, record_.span_id};
+    return {entry_.trace_id, entry_.span_id};
   }
 
-  void set_ok(bool ok) { record_.ok = ok; }
+  void set_ok(bool ok) { entry_.ok = ok; }
 
   /// Idempotent: stamps end times and records the span.
   void finish();
 
  private:
   friend class Tracer;
-  Span(SpanCollector* collector, SpanRecord record)
-      : collector_(collector), record_(std::move(record)) {}
 
   SpanCollector* collector_ = nullptr;  // null = finished or empty
-  SpanRecord record_;
+  SpanEntry entry_;
 };
 
+/// The calling thread's implicit trace context (invalid when outside any
+/// ContextGuard scope).
+[[nodiscard]] TraceContext current_context();
+
 /// Span factory over one collector. start_span with an invalid parent opens
-/// a new trace (the root span's id doubles as the trace id).
+/// a new trace (the root span's id doubles as the trace id); the parent
+/// defaults to the calling thread's current context.
 class Tracer {
  public:
   explicit Tracer(SpanCollector& collector) : collector_(collector) {}
 
-  Span start_span(std::string name, TraceContext parent);
-  /// Parent defaults to the calling thread's current context.
-  Span start_span(std::string name);
+  /// Starts a span named by the concatenation of `name`.
+  Span start_span(SpanNameParts name,
+                  TraceContext parent = current_context());
+  /// A one-part name.
+  Span start_span(std::string_view name,
+                  TraceContext parent = current_context()) {
+    return start_span({name}, parent);
+  }
 
   [[nodiscard]] SpanCollector& collector() { return collector_; }
 
  private:
   SpanCollector& collector_;
 };
-
-/// The calling thread's implicit trace context (invalid when outside any
-/// ContextGuard scope).
-[[nodiscard]] TraceContext current_context();
 
 /// Scoped override of the thread's current context; restores on exit.
 class ContextGuard {

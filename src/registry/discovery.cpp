@@ -114,7 +114,7 @@ void DiscoveryManager::start_discovery(DiscoveryListener listener) {
 
 void DiscoveryManager::handle_message(const simnet::Message& msg) {
   if (msg.topic == kTopicAnnounce || msg.topic == kTopicResponse) {
-    if (const auto* ad = std::any_cast<LusAdvertisement>(&msg.body)) {
+    if (const auto* ad = msg.body.get_if<LusAdvertisement>()) {
       note_discovered(*ad);
     }
     return;

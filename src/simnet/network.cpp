@@ -176,7 +176,7 @@ void Network::deliver(std::uint32_t slot) {
     // The receive side continues the sender's trace: the handler runs
     // under a hop span so anything it triggers links back to the request.
     obs::Span span =
-        obs::tracer().start_span("net.recv:" + msg.topic, msg.trace);
+        obs::tracer().start_span({"net.recv:", msg.topic}, msg.trace);
     obs::ContextGuard guard(span.context());
     it->second(msg);
   } else {

@@ -9,17 +9,23 @@
 // benches their measurements.
 //
 // A message moves from sender to receiver and is never copied on the way
-// (multicast copies once per member). While in flight it is parked in a
-// slab the fabric owns and reuses; the scheduled delivery captures only the
-// slot index, so a warm untraced send + deliver allocates nothing here.
+// (multicast copies once per member). Its body is held in place inside the
+// message, and while in flight the message is parked in a slab the fabric
+// owns and reuses; the scheduled delivery captures only the slot index. So
+// a warm send + deliver allocates nothing here, traced or not: the
+// `net.recv:` span a traced delivery starts holds its name inline too
+// (obs/trace.h).
 
-#include <any>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <new>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -34,20 +40,117 @@ namespace sensorcer::simnet {
 
 using Address = util::Uuid;
 
+/// A message's in-process payload, held in place: the storage is sized for
+/// the bodies the framework sends (sorcer's wire::Request, the largest, and
+/// wire::Response and registry::LusAdvertisement), and a type that does not
+/// fit fails to compile instead of falling back to the heap. It is
+/// type-checked on the way out: get_if<T>() is null unless the body holds a
+/// T. A moved-from body is empty.
+class Body {
+ public:
+  static constexpr std::size_t kCapacity = 80;
+  static constexpr std::size_t kAlignment = alignof(std::uint64_t);
+
+  Body() = default;
+  Body(const Body& other) { copy_from(other); }
+  Body(Body&& other) noexcept { take(other); }
+  Body& operator=(const Body& other) {
+    if (this != &other) {
+      reset();
+      copy_from(other);
+    }
+    return *this;
+  }
+  Body& operator=(Body&& other) noexcept {
+    if (this != &other) {
+      reset();
+      take(other);
+    }
+    return *this;
+  }
+  ~Body() { reset(); }
+
+  /// Holds `value`, destroying what the body held before.
+  template <class T>
+    requires(!std::is_same_v<std::decay_t<T>, Body>)
+  Body& operator=(T&& value) {
+    using Held = std::decay_t<T>;
+    static_assert(sizeof(Held) <= kCapacity && alignof(Held) <= kAlignment,
+                  "message body does not fit Body's inline storage");
+    static_assert(std::is_copy_constructible_v<Held> &&
+                      std::is_nothrow_move_constructible_v<Held>,
+                  "a message body is copied by multicast and moved in flight");
+    reset();
+    ::new (static_cast<void*>(storage_)) Held(std::forward<T>(value));
+    ops_ = &kOps<Held>;
+    return *this;
+  }
+
+  /// The held T, or null when the body is empty or holds another type.
+  template <class T>
+  [[nodiscard]] T* get_if() {
+    return ops_ == &kOps<T> ? std::launder(reinterpret_cast<T*>(storage_))
+                            : nullptr;
+  }
+  template <class T>
+  [[nodiscard]] const T* get_if() const {
+    return ops_ == &kOps<T>
+               ? std::launder(reinterpret_cast<const T*>(storage_))
+               : nullptr;
+  }
+
+ private:
+  /// What the body needs to know of its held type; its address doubles as
+  /// the type's identity.
+  struct Ops {
+    void (*destroy)(void* self);
+    void (*copy)(void* to, const void* from);
+    void (*relocate)(void* to, void* from);  // move-construct, destroy source
+  };
+  template <class T>
+  static constexpr Ops kOps{
+      [](void* self) { static_cast<T*>(self)->~T(); },
+      [](void* to, const void* from) {
+        ::new (to) T(*static_cast<const T*>(from));
+      },
+      [](void* to, void* from) {
+        T* source = static_cast<T*>(from);
+        ::new (to) T(std::move(*source));
+        source->~T();
+      }};
+
+  void reset() {
+    if (ops_ != nullptr) std::exchange(ops_, nullptr)->destroy(storage_);
+  }
+  void copy_from(const Body& other) {
+    if (other.ops_ == nullptr) return;
+    other.ops_->copy(storage_, other.storage_);
+    ops_ = other.ops_;
+  }
+  void take(Body& other) noexcept {
+    if (other.ops_ == nullptr) return;
+    other.ops_->relocate(storage_, other.storage_);
+    ops_ = std::exchange(other.ops_, nullptr);
+  }
+
+  alignas(kAlignment) unsigned char storage_[kCapacity]{};
+  const Ops* ops_ = nullptr;
+};
+
 /// An application message. `payload_bytes` is the modeled serialized size
-/// (the in-process `body` is carried by reference and costs nothing).
+/// (the in-process `body` rides inside the message and costs nothing).
 struct Message {
   Address source;
   Address destination;          // or group address for multicast
   std::string topic;            // application dispatch tag, e.g. "lus.announce"
-  std::any body;                // in-process payload
+  Body body;                    // in-process payload
   std::size_t payload_bytes = 0;
   Protocol protocol = Protocol::kUdp;
   /// Trace propagation header. Stamped from the sender's current trace
   /// context when unset; when valid it is charged like every other protocol
   /// header (TraceContext::kWireBytes per message), so tracing overhead is
   /// itself measurable. Delivery runs the handler under this context and a
-  /// "net.recv" span, linking sender- and receiver-side spans.
+  /// "net.recv:" span, linking sender- and receiver-side spans.
   obs::TraceContext trace{};
 };
 

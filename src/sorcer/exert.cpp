@@ -100,7 +100,7 @@ void start_flight(Flight& f, ServiceAccessor& accessor,
   obs::TraceContext parent = exertion->trace_context().valid()
                                  ? exertion->trace_context()
                                  : obs::current_context();
-  f.span = obs::tracer().start_span("exert:" + exertion->name(), parent);
+  f.span = obs::tracer().start_span({"exert:", exertion->name()}, parent);
   exertion->set_trace_context(f.span.context());
   if (exertion->kind() == Exertion::Kind::kTask) {
     // A pinned provider name means "this provider, exactly" — no

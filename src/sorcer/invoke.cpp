@@ -1,6 +1,5 @@
 #include "sorcer/invoke.h"
 
-#include <any>
 #include <cassert>
 
 #include "obs/metrics.h"
@@ -108,7 +107,7 @@ void RemoteInvoker::on_message(simnet::Message& msg) {
   if (msg.topic != wire::kResponseTopic && msg.topic != wire::kPongTopic) {
     return;
   }
-  auto* rsp = std::any_cast<wire::Response>(&msg.body);
+  auto* rsp = msg.body.get_if<wire::Response>();
   if (rsp == nullptr) return;
   CallSlot* slot = find_call(rsp->call_id);
   if (slot == nullptr || slot->landed) {
@@ -248,7 +247,7 @@ PendingCall RemoteInvoker::begin_invoke(
                                  ? exertion->trace_context()
                                  : obs::current_context();
   call.span_ = obs::tracer().start_span(
-      "rpc:" + exertion->name() + "->" + provider->provider_name(), parent);
+      {"rpc:", exertion->name(), "->", provider->provider_name()}, parent);
   // The request must be stamped with the rpc span's context so the
   // provider-side dispatch span links under it.
   obs::ContextGuard guard(call.span_.context());

@@ -1,7 +1,6 @@
 #include "sorcer/provider.h"
 
 #include <algorithm>
-#include <any>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -71,7 +70,7 @@ void ServiceProvider::handle_network_message(simnet::Message& msg) {
   if (net_ == nullptr) return;
 
   if (msg.topic == wire::kPingTopic) {
-    const auto* ping = std::any_cast<wire::Request>(&msg.body);
+    const auto* ping = msg.body.get_if<wire::Request>();
     if (ping == nullptr) return;
     simnet::Message pong;
     pong.source = net_addr_;
@@ -87,7 +86,7 @@ void ServiceProvider::handle_network_message(simnet::Message& msg) {
   }
 
   if (msg.topic != wire::kRequestTopic) return;
-  auto* req = std::any_cast<wire::Request>(&msg.body);
+  auto* req = msg.body.get_if<wire::Request>();
   if (req == nullptr || !req->exertion) return;
 
   if (req->reset_reply_interning) {
@@ -245,7 +244,7 @@ util::Result<ExertionPtr> ServiceProvider::service(
                                  ? task->trace_context()
                                  : obs::current_context();
   obs::Span span =
-      obs::tracer().start_span("invoke:" + name_ + "#" + sig.selector, parent);
+      obs::tracer().start_span({"invoke:", name_, "#", sig.selector}, parent);
   obs::ContextGuard trace_guard(span.context());
   task->set_status(ExertStatus::kRunning);
   // Byte accounting lives in the invocation pipeline (sorcer/invoke.*):

@@ -1,19 +1,21 @@
 // Allocation gates for the event loop and the composite read: once warm,
-// scheduling and firing a timer (one-shot or recurring), an untraced send +
-// deliver on the fabric, a BufferPool acquire/release and refilling a
-// cleared context allocate nothing, and a composite read over the wire
-// allocates no more than its span names and message bodies need. This
-// executable replaces the global operator new with a counting one
-// (alloc_counter.cpp); each test counts the allocations its calling thread
-// makes inside a measured window.
+// scheduling and firing a timer (one-shot or recurring), a send + deliver
+// on the fabric (untraced, or traced with a request-shaped body), a
+// BufferPool acquire/release, refilling a cleared context and a composite
+// read over the wire allocate nothing. This executable replaces the global
+// operator new with a counting one (alloc_counter.cpp); each test counts
+// the allocations its calling thread makes inside a measured window.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/deployment.h"
+#include "obs/trace.h"
 #include "simnet/network.h"
 #include "sorcer/codec.h"
 #include "util/scheduler.h"
@@ -87,6 +89,58 @@ TEST(AllocationGate, WarmUntracedSendAndDeliverAllocatesNothing) {
   EXPECT_EQ(delivered, (16 + 1000) * 8 * 100u);
 }
 
+TEST(AllocationGate, WarmTracedSendAndDeliverAllocatesNothing) {
+  // The untraced loop under a valid trace, so every delivery starts a
+  // `net.recv:` span, with a body shaped like a wire request: a shared
+  // pointer plus a payload buffer, held in the message and never copied.
+  // Buffers circulate as through the codec's BufferPool: the sender moves
+  // one into the body and the receiver hands it back.
+  struct RequestLike {
+    std::shared_ptr<int> exertion;
+    std::vector<std::uint8_t> payload;
+  };
+  util::Scheduler sched;
+  simnet::Network net(sched);
+  const simnet::Address a = util::new_uuid();
+  const simnet::Address b = util::new_uuid();
+  const auto exertion = std::make_shared<int>(7);
+  std::vector<std::vector<std::uint8_t>> spare(
+      8, std::vector<std::uint8_t>(100, 0x5a));
+  std::uint64_t delivered = 0;
+  net.attach(a, [](simnet::Message&) {});
+  net.attach(b, [&](simnet::Message& m) {
+    if (auto* body = m.body.get_if<RequestLike>()) {
+      delivered += body->payload.size();
+      spare.push_back(std::move(body->payload));
+    }
+  });
+  const auto round = [&] {
+    for (int i = 0; i < 8; ++i) {  // eight in flight at once
+      simnet::Message msg;
+      msg.source = a;
+      msg.destination = b;
+      msg.topic = "invoke.request";
+      msg.body = RequestLike{exertion, std::move(spare.back())};
+      spare.pop_back();
+      msg.payload_bytes = 100;
+      msg.protocol = simnet::Protocol::kTcp;
+      (void)net.send(std::move(msg));
+    }
+    sched.run_for(net.latency());
+  };
+  obs::Span request = obs::tracer().start_span("client.request");
+  obs::ContextGuard guard(request.context());
+  for (int i = 0; i < 16; ++i) round();  // warm: slab, heap and stats rows
+  const std::uint64_t spans_before = obs::span_collector().recorded();
+  EXPECT_EQ(allocations_in([&] {
+              for (int i = 0; i < 1000; ++i) round();
+            }),
+            0u);
+  EXPECT_EQ(obs::span_collector().recorded() - spans_before, 1000 * 8u);
+  EXPECT_EQ(delivered, (16 + 1000) * 8 * 100u);
+  EXPECT_EQ(exertion.use_count(), 1);  // every delivered body was destroyed
+}
+
 TEST(AllocationGate, WarmBufferPoolAcquireReleaseAllocatesNothing) {
   sorcer::BufferPool pool;
   const auto cycle = [&pool] {
@@ -156,14 +210,13 @@ TEST(AllocationGate, ClearedContextRefillsWithoutAllocating) {
             "degrees Celsius, calibrated");
 }
 
-TEST(AllocationGate, WarmCompositeReadStaysUnderItsBudget) {
+TEST(AllocationGate, WarmCompositeReadAllocatesNothing) {
   // A direct 4-leaf composite read over the wire: the collection job's
   // call to the Jobber and its four leaf calls — 5 wire calls, 10
-  // messages. With the job renewed and every context refilled in place,
-  // what remains per read is span names and message bodies: 10 `net.recv:`
-  // names, 4 `invoke:` names and the job's `rpc:` name (the leaf `rpc:`
-  // and every `exert:` name fit the small-string buffer), plus 10
-  // std::any bodies.
+  // messages, each call traced by `exert:`, `rpc:`, two `net.recv:` and
+  // (at a leaf) an `invoke:` span. With the job renewed, every context
+  // refilled in place, span names held inline and message bodies held in
+  // their messages, a warm read allocates nothing.
   core::DeploymentConfig config;
   config.with_historian = false;
   config.with_flow = false;
@@ -181,7 +234,7 @@ TEST(AllocationGate, WarmCompositeReadStaysUnderItsBudget) {
   for (int i = 0; i < 50; ++i) ASSERT_TRUE(csp->get_value().is_ok());
 
   constexpr std::uint64_t kReads = 100;
-  constexpr std::uint64_t kPerRead = 25;
+  constexpr std::uint64_t kPerRead = 0;
   bool all_ok = true;
   const std::uint64_t allocations = allocations_in([&] {
     for (std::uint64_t i = 0; i < kReads; ++i) {

@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -248,6 +250,71 @@ TEST(ObsTrace, RingBufferOverflowDropsOldest) {
   EXPECT_EQ(spans.back().name, "s9");
 }
 
+TEST(ObsTrace, NamesLongerThanTheInlineBufferRenderWhole) {
+  // Names around the inline buffer's size, joined from parts, through a
+  // ring that wraps: spilled entries are overwritten by inline ones and
+  // the other way round, and every retained name comes back whole.
+  obs::SpanCollector collector(3);
+  obs::Tracer tracer(collector);
+  constexpr std::size_t kInline = obs::SpanEntry::kInlineName;
+  std::vector<std::string> names;
+  for (const std::size_t size :
+       {kInline - 1, kInline, kInline + 1, std::size_t{8}, std::size_t{300}}) {
+    // "rpc:" + target + "->" is `size` characters long.
+    const std::string target(size - 6, static_cast<char>('a' + names.size()));
+    names.push_back("rpc:" + target + "->");
+    tracer.start_span({"rpc:", target, "->"}).finish();
+  }
+  const auto spans = collector.snapshot();
+  ASSERT_EQ(spans.size(), 3u);
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(spans[i].name, names[names.size() - 3 + i]);
+  }
+  EXPECT_EQ(spans.back().name.size(), 300u);
+  EXPECT_EQ(obs::render_trace_tree({spans.back()}), names.back() + "  [0us]\n");
+}
+
+TEST(ObsTrace, ConcurrentSpansKeepTheirNamesIntact) {
+  // Four threads start and finish spans with distinct names, half of them
+  // past the inline buffer, into one ring that wraps many times over.
+  constexpr int kThreads = 4;
+  constexpr int kSpansPerThread = 2000;
+  constexpr std::size_t kCapacity = 1024;
+  obs::SpanCollector collector(kCapacity);
+  obs::Tracer tracer(collector);
+  const std::string tail(obs::SpanEntry::kInlineName, '~');
+  const auto name_of = [&tail](int thread, int i) {
+    return "worker-" + std::to_string(thread) + "/span-" + std::to_string(i) +
+           (i % 2 == 0 ? tail : std::string());
+  };
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      const std::string worker = "worker-" + std::to_string(t);
+      for (int i = 0; i < kSpansPerThread; ++i) {
+        const std::string index = std::to_string(i);
+        tracer
+            .start_span({worker, "/span-", index,
+                         i % 2 == 0 ? std::string_view(tail) : ""})
+            .finish();
+      }
+    });
+  }
+  for (auto& worker : workers) worker.join();
+
+  EXPECT_EQ(collector.recorded(), std::uint64_t{kThreads * kSpansPerThread});
+  const auto spans = collector.snapshot();
+  ASSERT_EQ(spans.size(), kCapacity);
+  for (const auto& span : spans) {
+    int thread = -1;
+    int i = -1;
+    ASSERT_EQ(std::sscanf(span.name.c_str(), "worker-%d/span-%d", &thread, &i),
+              2)
+        << span.name;
+    EXPECT_EQ(span.name, name_of(thread, i));
+  }
+}
+
 TEST(ObsTrace, ContextPropagatesAcrossSimnetHop) {
   reset_global_obs();
   util::Scheduler sched;
@@ -401,6 +468,71 @@ TEST(ObsIntegration, FacadeRequestProducesConnectedTraceAndTraffic) {
   // And the browser renders it as a pane.
   EXPECT_NE(lab.browser().render().find("Federation Health"),
             std::string::npos);
+}
+
+TEST(ObsIntegration, FacadeReadOfATwoLevelCompositeRendersItsGoldenTree) {
+  // Every span op a read crosses — facade.getValue:, exert:, rpc:,
+  // net.recv:, invoke: and probe: — rendered with simulated durations
+  // only. The names are joined from parts into inline buffers; the tree
+  // must read exactly as it did when each site built its name as a string.
+  reset_global_obs();
+  core::Deployment lab;
+  lab.add_temperature_sensor("t-1", 20.0);
+  lab.add_temperature_sensor("t-2", 24.0);
+  lab.add_temperature_sensor("t-3", 22.0);
+  ASSERT_NE(lab.facade().create_local_service("room"), nullptr);
+  ASSERT_TRUE(lab.facade().compose_service("room", {"t-1", "t-2"}).is_ok());
+  ASSERT_NE(lab.facade().create_local_service("house"), nullptr);
+  ASSERT_TRUE(lab.facade().compose_service("house", {"room", "t-3"}).is_ok());
+  lab.pump(util::kSecond);
+  obs::span_collector().clear();
+
+  ASSERT_TRUE(lab.facade().get_value("house").is_ok());
+  std::uint64_t trace_id = 0;
+  for (const auto& span : obs::span_collector().snapshot()) {
+    if (span.name == "facade.getValue:house") trace_id = span.trace_id;
+  }
+  ASSERT_NE(trace_id, 0u);
+  const std::string golden =
+      "facade.getValue:house  [4.900ms]\n"
+      "└─ exert:facade.read:house  [4.900ms]\n"
+      "   ├─ invoke:house#getValue  [3.500ms]\n"
+      "   │  └─ exert:house.collect  [3.500ms]\n"
+      "   │     ├─ exert:a  [2.900ms]\n"
+      "   │     │  ├─ invoke:room#getValue  [1.500ms]\n"
+      "   │     │  │  └─ exert:room.collect  [1.500ms]\n"
+      "   │     │  │     ├─ exert:a  [900us]\n"
+      "   │     │  │     │  ├─ invoke:t-1#getValue  [0us]\n"
+      "   │     │  │     │  │  └─ probe:t-1  [0us]\n"
+      "   │     │  │     │  └─ rpc:a->t-1  [900us]\n"
+      "   │     │  │     │     └─ net.recv:invoke.request  [0us]\n"
+      "   │     │  │     │        └─ net.recv:invoke.response  [0us]\n"
+      "   │     │  │     ├─ exert:b  [900us]\n"
+      "   │     │  │     │  ├─ invoke:t-2#getValue  [0us]\n"
+      "   │     │  │     │  │  └─ probe:t-2  [0us]\n"
+      "   │     │  │     │  └─ rpc:b->t-2  [900us]\n"
+      "   │     │  │     │     └─ net.recv:invoke.request  [0us]\n"
+      "   │     │  │     │        └─ net.recv:invoke.response  [0us]\n"
+      "   │     │  │     └─ rpc:room.collect->Jobber  [1.500ms]\n"
+      "   │     │  │        └─ net.recv:invoke.request  [900us]\n"
+      "   │     │  │           └─ net.recv:invoke.response  [0us]\n"
+      "   │     │  └─ rpc:a->room  [2.900ms]\n"
+      "   │     │     └─ net.recv:invoke.request  [1.500ms]\n"
+      "   │     │        └─ net.recv:invoke.response  [0us]\n"
+      "   │     ├─ exert:b  [2.900ms]\n"
+      "   │     │  ├─ invoke:t-3#getValue  [0us]\n"
+      "   │     │  │  └─ probe:t-3  [0us]\n"
+      "   │     │  └─ rpc:b->t-3  [1.700ms]\n"
+      "   │     │     └─ net.recv:invoke.request  [0us]\n"
+      "   │     │        └─ net.recv:invoke.response  [0us]\n"
+      "   │     └─ rpc:house.collect->Jobber  [3.500ms]\n"
+      "   │        └─ net.recv:invoke.request  [2.900ms]\n"
+      "   │           └─ net.recv:invoke.response  [0us]\n"
+      "   └─ rpc:facade.read:house->house  [4.900ms]\n"
+      "      └─ net.recv:invoke.request  [3.500ms]\n"
+      "         └─ net.recv:invoke.response  [0us]\n";
+  EXPECT_EQ(obs::render_trace_tree(obs::span_collector().trace(trace_id)),
+            golden);
 }
 
 TEST(ObsIntegration, SnapshotUnderSimTimeIsDeterministicAcrossRuns) {

@@ -3,8 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include <any>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "simnet/network.h"
@@ -309,10 +310,11 @@ TEST_F(NetworkTest, HandlerCanSendWhileItsOwnMessageIsDelivered) {
       echo.source = b;
       echo.destination = a;
       echo.topic = "echo";
-      echo.body = std::any_cast<std::string>(m.body);
+      ASSERT_NE(m.body.get_if<std::string>(), nullptr);
+      echo.body = *m.body.get_if<std::string>();
       ASSERT_TRUE(net.send(std::move(echo)).is_ok());
       EXPECT_EQ(m.topic, "ping");
-      EXPECT_EQ(std::any_cast<const std::string&>(m.body), body);
+      EXPECT_EQ(*m.body.get_if<std::string>(), body);
     }
   });
   Message ping;
@@ -324,6 +326,138 @@ TEST_F(NetworkTest, HandlerCanSendWhileItsOwnMessageIsDelivered) {
   sched.run_for(util::kSecond);
   EXPECT_EQ(echoes, 16);
   EXPECT_EQ(net.totals().messages_received, 17u);
+}
+
+// --- message bodies -------------------------------------------------------------
+
+TEST(MessageBody, GetIfIsNullForAnyOtherType) {
+  Body body;
+  EXPECT_EQ(body.get_if<std::string>(), nullptr);
+  body = std::string("reading");
+  ASSERT_NE(body.get_if<std::string>(), nullptr);
+  EXPECT_EQ(*body.get_if<std::string>(), "reading");
+  EXPECT_EQ(body.get_if<int>(), nullptr);
+  EXPECT_EQ(body.get_if<std::vector<char>>(), nullptr);
+  const Body& held = body;
+  EXPECT_NE(held.get_if<std::string>(), nullptr);
+  EXPECT_EQ(held.get_if<int>(), nullptr);
+  body = 7;
+  EXPECT_EQ(body.get_if<std::string>(), nullptr);
+  ASSERT_NE(body.get_if<int>(), nullptr);
+  EXPECT_EQ(*body.get_if<int>(), 7);
+}
+
+TEST_F(NetworkTest, MulticastCopiesAreIndependentOfEachOther) {
+  const Address c = util::new_uuid();
+  const Address group = util::new_uuid();
+  std::vector<int> seen_b, seen_c;
+  const std::vector<int>* storage_b = nullptr;
+  net.attach(b, [&](Message& m) {
+    auto* values = m.body.get_if<std::vector<int>>();
+    ASSERT_NE(values, nullptr);
+    values->push_back(4);
+    seen_b = *values;
+    storage_b = values;
+  });
+  net.attach(c, [&](Message& m) {
+    auto* values = m.body.get_if<std::vector<int>>();
+    ASSERT_NE(values, nullptr);
+    EXPECT_NE(values, storage_b);
+    values->push_back(5);
+    seen_c = *values;
+  });
+  for (Address member : {a, b, c}) net.join_group(group, member);
+  Message msg;
+  msg.source = a;
+  msg.body = std::vector<int>{1, 2, 3};
+  EXPECT_EQ(net.multicast(group, std::move(msg)), 2u);
+  sched.run_for(util::kSecond);
+  EXPECT_EQ(seen_b, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(seen_c, (std::vector<int>{1, 2, 3, 5}));
+}
+
+/// A body that counts its own destruction. A moved-from shell does not
+/// count, so a body moved through the fabric and then destroyed counts
+/// exactly once; `token` counts the live copies.
+struct Tracked {
+  Tracked(std::shared_ptr<int> token, int* destroyed)
+      : token(std::move(token)), destroyed(destroyed) {}
+  Tracked(const Tracked&) = default;
+  Tracked(Tracked&& other) noexcept
+      : token(std::move(other.token)),
+        destroyed(std::exchange(other.destroyed, nullptr)) {}
+  Tracked& operator=(const Tracked&) = delete;
+  Tracked& operator=(Tracked&&) = delete;
+  ~Tracked() {
+    if (destroyed != nullptr) ++*destroyed;
+  }
+
+  std::shared_ptr<int> token;
+  int* destroyed;
+};
+
+class BodyLifetimeTest : public NetworkTest {
+ protected:
+  Message tracked_message() {
+    Message msg;
+    msg.source = a;
+    msg.destination = b;
+    msg.body = Tracked{token, &destroyed};
+    return msg;
+  }
+  /// After the scheduler runs, the body is gone: destroyed once, and no
+  /// copy of it holds the token.
+  void expect_destroyed_once() {
+    sched.run_for(util::kSecond);
+    EXPECT_EQ(destroyed, 1);
+    EXPECT_EQ(token.use_count(), 1);
+  }
+
+  std::shared_ptr<int> token = std::make_shared<int>(0);
+  int destroyed = 0;
+  int delivered = 0;
+};
+
+TEST_F(BodyLifetimeTest, DeliveredBodyIsDestroyedOnce) {
+  net.attach(b, [&](const Message&) { ++delivered; });
+  ASSERT_TRUE(net.send(tracked_message()).is_ok());
+  expect_destroyed_once();
+  EXPECT_EQ(delivered, 1);
+}
+
+TEST_F(BodyLifetimeTest, BodyDroppedByAPartitionIsDestroyedOnce) {
+  net.attach(b, [&](const Message&) { ++delivered; });
+  net.partition(a, b);
+  ASSERT_TRUE(net.send(tracked_message()).is_ok());
+  expect_destroyed_once();
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(net.totals().messages_dropped, 1u);
+}
+
+TEST_F(BodyLifetimeTest, BodyLostOnTheWireIsDestroyedOnce) {
+  net.attach(b, [&](const Message&) { ++delivered; });
+  net.set_loss_rate(1.0);
+  ASSERT_TRUE(net.send(tracked_message()).is_ok());
+  expect_destroyed_once();
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(net.totals().messages_dropped, 1u);
+}
+
+TEST_F(BodyLifetimeTest, BodyToADestinationDetachedInFlightIsDestroyedOnce) {
+  net.attach(b, [&](const Message&) { ++delivered; });
+  ASSERT_TRUE(net.send(tracked_message()).is_ok());
+  net.detach(b);
+  expect_destroyed_once();
+  EXPECT_EQ(delivered, 0);
+}
+
+TEST_F(BodyLifetimeTest, BodyOfARefusedSendAfterIsDestroyedOnce) {
+  net.attach(b, [&](const Message&) { ++delivered; });
+  net.send_after(1000, tracked_message());
+  sched.schedule_after(500, [&] { net.detach(b); });
+  expect_destroyed_once();
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(net.totals().messages_sent, 0u);
 }
 
 TEST_F(NetworkTest, SendAfterEvaluatesTheDestinationAtSendTime) {
