@@ -13,10 +13,20 @@ namespace sensorcer::core {
 
 namespace {
 
-obs::Counter& facade_requests() {
-  static obs::Counter& c = obs::metrics().counter("facade.requests");
-  return c;
+struct FacadeMetrics {
+  obs::Counter& requests;
+  obs::Counter& tasks_built;
+};
+
+FacadeMetrics& facade_metrics() {
+  static FacadeMetrics m{obs::metrics().counter("facade.requests"),
+                         obs::metrics().counter("facade.tasks_built")};
+  return m;
 }
+
+/// Idle request shells kept between requests: a 64-sensor page holds 64,
+/// and the fabric keeps 256 spare wire buffers by the same rule.
+constexpr std::size_t kMaxIdleTasks = 256;
 
 /// `n` in decimal, written into a stack buffer: a span-name part that
 /// allocates nothing.
@@ -33,107 +43,10 @@ class Decimal {
   char* end_;
 };
 
-}  // namespace
-
-SensorcerFacade::SensorcerFacade(std::string name,
-                                 sorcer::ServiceAccessor& accessor,
-                                 SensorNetworkManager& manager,
-                                 SensorServiceProvisioner* provisioner)
-    : ServiceProvider(std::move(name), {kFacadeType}),
-      accessor_(accessor),
-      manager_(manager),
-      provisioner_(provisioner) {
-  registry::Entry attrs;
-  attrs.set(registry::attr::kComment, "SenSORCER Facade");
-  set_attributes(attrs);
-}
-
-std::vector<SensorInfo> SensorcerFacade::get_sensor_list() {
-  return manager_.list_services();
-}
-
-util::Result<double> SensorcerFacade::get_value(
-    const std::string& service_name) {
-  facade_requests().add(1);
-  // Root span for the whole request: the exertion and the probe reads it
-  // triggers all nest below this context.
-  obs::Span span =
-      obs::tracer().start_span({"facade.getValue:", service_name});
-  obs::ContextGuard guard(span.context());
-  // Facade reads are service-to-service calls like any other: a task
-  // exertion routed through the invocation pipeline, so they really cross
-  // the fabric instead of short-circuiting into the provider object.
-  auto task = sorcer::Task::make(
-      "facade.read:" + service_name,
-      sorcer::Signature{kSensorDataAccessorType, op::kGetValue, service_name});
-  (void)sorcer::exert(task, accessor_);
-  if (task->status() != sorcer::ExertStatus::kDone) {
-    span.set_ok(false);
-    return task->error();
-  }
-  auto value = task->context().get_double(path::kValue);
-  span.set_ok(value.is_ok());
-  return value;
-}
-
-std::vector<util::Result<double>> SensorcerFacade::get_values(
-    const std::vector<std::string>& service_names) {
-  facade_requests().add(1);
-  obs::Span span = obs::tracer().start_span(
-      {"facade.getValues[", Decimal(service_names.size()), "]"});
-  obs::ContextGuard guard(span.context());
-  std::vector<sorcer::ExertionPtr> batch;
-  batch.reserve(service_names.size());
-  for (const std::string& name : service_names) {
-    batch.push_back(sorcer::Task::make(
-        "facade.read:" + name,
-        sorcer::Signature{kSensorDataAccessorType, op::kGetValue, name}));
-  }
-  (void)sorcer::exert_all(batch, accessor_);
-  std::vector<util::Result<double>> out;
-  out.reserve(batch.size());
-  bool all_ok = true;
-  for (const auto& task : batch) {
-    if (task->status() != sorcer::ExertStatus::kDone) {
-      out.emplace_back(task->error());
-      all_ok = false;
-      continue;
-    }
-    auto value = task->context().get_double(path::kValue);
-    if (!value.is_ok()) all_ok = false;
-    out.push_back(std::move(value));
-  }
-  span.set_ok(all_ok);
-  return out;
-}
-
-namespace {
-
-/// Exert a historian query task and hand back its filled context.
-util::Result<sorcer::ExertionPtr> exert_hist_query(
-    sorcer::ServiceAccessor& accessor, const char* selector,
-    const std::string& sensor, util::SimTime from, util::SimTime to,
-    std::int64_t extra, const char* extra_path) {
-  facade_requests().add(1);
-  obs::Span span =
-      obs::tracer().start_span({"facade.", selector, ":", sensor});
-  obs::ContextGuard guard(span.context());
-  auto task = sorcer::Task::make(
-      std::string("facade.hist:") + sensor,
-      sorcer::Signature{kDataCollectionType, selector, ""});
-  sorcer::ServiceContext& ctx = task->context();
-  ctx.put(path::kHistSensor, sensor, sorcer::PathDirection::kIn);
-  ctx.put(path::kHistFrom, static_cast<std::int64_t>(from),
-          sorcer::PathDirection::kIn);
-  ctx.put(path::kHistTo, static_cast<std::int64_t>(to),
-          sorcer::PathDirection::kIn);
-  ctx.put(extra_path, extra, sorcer::PathDirection::kIn);
-  (void)sorcer::exert(task, accessor);
-  if (task->status() != sorcer::ExertStatus::kDone) {
-    span.set_ok(false);
-    return task->error();
-  }
-  return sorcer::ExertionPtr(task);
+/// The value a done read task carries, else the task's error.
+util::Result<double> read_result(const sorcer::Task& task) {
+  if (task.status() != sorcer::ExertStatus::kDone) return task.error();
+  return task.context().get_double(path::kValue);
 }
 
 std::int64_t int_or(const sorcer::ServiceContext& ctx, const char* path,
@@ -147,7 +60,29 @@ std::int64_t int_or(const sorcer::ServiceContext& ctx, const char* path,
   return fallback;
 }
 
-hist::SeriesResult parse_series(const sorcer::ServiceContext& ctx) {
+/// The aggregate a done historian stats task carries, else its error.
+util::Result<hist::StatsResult> stats_result(const sorcer::Task& task,
+                                             util::SimTime from,
+                                             util::SimTime to) {
+  if (task.status() != sorcer::ExertStatus::kDone) return task.error();
+  const sorcer::ServiceContext& ctx = task.context();
+  hist::StatsResult out;
+  out.stats.count = static_cast<std::uint64_t>(int_or(ctx, path::kHistCount));
+  out.stats.min = ctx.get_double(path::kHistMin).value_or(0.0);
+  out.stats.max = ctx.get_double(path::kHistMax).value_or(0.0);
+  out.stats.sum = ctx.get_double(path::kHistSum).value_or(0.0);
+  out.stats.last = ctx.get_double(path::kHistLast).value_or(0.0);
+  out.from_effective = int_or(ctx, path::kHistFromEffective, from);
+  out.to_effective = int_or(ctx, path::kHistToEffective, to);
+  out.source = ctx.peek_string(path::kHistSource).value_or("");
+  out.resolution = int_or(ctx, path::kHistResolution);
+  return out;
+}
+
+/// The series a done historian task carries, else the task's error.
+util::Result<hist::SeriesResult> series_result(const sorcer::Task& task) {
+  if (task.status() != sorcer::ExertStatus::kDone) return task.error();
+  const sorcer::ServiceContext& ctx = task.context();
   hist::SeriesResult out;
   // Borrow the reply columns in place instead of copying both series out of
   // the context (`ctx` is not mutated while the borrows live).
@@ -170,82 +105,198 @@ hist::SeriesResult parse_series(const sorcer::ServiceContext& ctx) {
 
 }  // namespace
 
+SensorcerFacade::SensorcerFacade(std::string name,
+                                 sorcer::ServiceAccessor& accessor,
+                                 SensorNetworkManager& manager,
+                                 SensorServiceProvisioner* provisioner)
+    : ServiceProvider(std::move(name), {kFacadeType}),
+      accessor_(accessor),
+      manager_(manager),
+      provisioner_(provisioner) {
+  registry::Entry attrs;
+  attrs.set(registry::attr::kComment, "SenSORCER Facade");
+  set_attributes(attrs);
+}
+
+std::shared_ptr<sorcer::Task> SensorcerFacade::take_task() {
+  std::shared_ptr<sorcer::Task> task;
+  {
+    std::lock_guard lock(idle_mu_);
+    if (!idle_tasks_.empty()) {
+      task = std::move(idle_tasks_.back());
+      idle_tasks_.pop_back();
+    }
+  }
+  if (!task) {
+    facade_metrics().tasks_built.add(1);
+    return sorcer::Task::make({}, {});
+  }
+  task->renew();
+  return task;
+}
+
+std::shared_ptr<sorcer::Task> SensorcerFacade::read_task(
+    std::string_view name) {
+  std::shared_ptr<sorcer::Task> task = take_task();
+  task->rename({"facade.read:", name});
+  task->resign(kSensorDataAccessorType, op::kGetValue, name);
+  return task;
+}
+
+std::shared_ptr<sorcer::Task> SensorcerFacade::hist_task(
+    const char* selector, const std::string& sensor, util::SimTime from,
+    util::SimTime to, std::int64_t extra, const char* extra_path) {
+  std::shared_ptr<sorcer::Task> task = take_task();
+  task->rename({"facade.hist:", sensor});
+  task->resign(kDataCollectionType, selector, "");
+  sorcer::ServiceContext& ctx = task->context();
+  ctx.put(path::kHistSensor, sensor, sorcer::PathDirection::kIn);
+  ctx.put(path::kHistFrom, static_cast<std::int64_t>(from),
+          sorcer::PathDirection::kIn);
+  ctx.put(path::kHistTo, static_cast<std::int64_t>(to),
+          sorcer::PathDirection::kIn);
+  ctx.put(extra_path, extra, sorcer::PathDirection::kIn);
+  return task;
+}
+
+void SensorcerFacade::give_back(std::shared_ptr<sorcer::Task> task) {
+  // A request still parked on the fabric (its call timed out) holds the
+  // task, and the provider that runs it late writes into it: only a task
+  // the façade holds alone may serve another request.
+  if (task.use_count() != 1) return;
+  // A shell that carried a huge answer is let go rather than kept at that
+  // size.
+  for (const char* column : {path::kHistTimestamps, path::kHistValues}) {
+    const std::vector<double>* kept = task->context().peek_series(column);
+    if (kept != nullptr && kept->capacity() > hist::kMaxKeptPoints) return;
+  }
+  std::lock_guard lock(idle_mu_);
+  if (idle_tasks_.size() < kMaxIdleTasks) {
+    idle_tasks_.push_back(std::move(task));
+  }
+}
+
+std::vector<SensorInfo> SensorcerFacade::get_sensor_list() {
+  return manager_.list_services();
+}
+
+util::Result<double> SensorcerFacade::get_value(
+    const std::string& service_name) {
+  facade_metrics().requests.add(1);
+  // Root span for the whole request: the exertion and the probe reads it
+  // triggers all nest below this context.
+  obs::Span span =
+      obs::tracer().start_span({"facade.getValue:", service_name});
+  obs::ContextGuard guard(span.context());
+  // Facade reads are service-to-service calls like any other: a task
+  // exertion routed through the invocation pipeline, so they really cross
+  // the fabric instead of short-circuiting into the provider object.
+  std::shared_ptr<sorcer::Task> task = read_task(service_name);
+  (void)sorcer::exert(task, accessor_);
+  util::Result<double> value = read_result(*task);
+  give_back(std::move(task));
+  span.set_ok(value.is_ok());
+  return value;
+}
+
+std::vector<util::Result<double>> SensorcerFacade::get_values(
+    const std::vector<std::string>& service_names) {
+  facade_metrics().requests.add(1);
+  obs::Span span = obs::tracer().start_span(
+      {"facade.getValues[", Decimal(service_names.size()), "]"});
+  obs::ContextGuard guard(span.context());
+  std::vector<sorcer::ExertionPtr> batch;
+  batch.reserve(service_names.size());
+  for (const std::string& name : service_names) {
+    batch.push_back(read_task(name));
+  }
+  (void)sorcer::exert_all(batch, accessor_);
+  std::vector<util::Result<double>> out;
+  out.reserve(batch.size());
+  bool all_ok = true;
+  for (const auto& task : batch) {
+    out.push_back(read_result(static_cast<const sorcer::Task&>(*task)));
+    all_ok = all_ok && out.back().is_ok();
+  }
+  for (sorcer::ExertionPtr& done : batch) {
+    give_back(std::static_pointer_cast<sorcer::Task>(std::move(done)));
+  }
+  span.set_ok(all_ok);
+  return out;
+}
+
+std::shared_ptr<sorcer::Task> SensorcerFacade::exert_hist_query(
+    const char* selector, const std::string& sensor, util::SimTime from,
+    util::SimTime to, std::int64_t extra, const char* extra_path) {
+  facade_metrics().requests.add(1);
+  obs::Span span =
+      obs::tracer().start_span({"facade.", selector, ":", sensor});
+  obs::ContextGuard guard(span.context());
+  std::shared_ptr<sorcer::Task> task =
+      hist_task(selector, sensor, from, to, extra, extra_path);
+  (void)sorcer::exert(task, accessor_);
+  if (task->status() != sorcer::ExertStatus::kDone) span.set_ok(false);
+  return task;
+}
+
 util::Result<hist::StatsResult> SensorcerFacade::query_stats(
     const std::string& sensor, util::SimTime from, util::SimTime to,
     util::SimDuration max_resolution) {
-  auto done = exert_hist_query(accessor_, op::kHistStats, sensor, from, to,
-                               static_cast<std::int64_t>(max_resolution),
-                               path::kHistResolution);
-  if (!done.is_ok()) return done.status();
-  const sorcer::ServiceContext& ctx = done.value()->context();
-  hist::StatsResult out;
-  out.stats.count = static_cast<std::uint64_t>(int_or(ctx, path::kHistCount));
-  out.stats.min = ctx.get_double(path::kHistMin).value_or(0.0);
-  out.stats.max = ctx.get_double(path::kHistMax).value_or(0.0);
-  out.stats.sum = ctx.get_double(path::kHistSum).value_or(0.0);
-  out.stats.last = ctx.get_double(path::kHistLast).value_or(0.0);
-  out.from_effective = int_or(ctx, path::kHistFromEffective, from);
-  out.to_effective = int_or(ctx, path::kHistToEffective, to);
-  out.source = ctx.peek_string(path::kHistSource).value_or("");
-  out.resolution = int_or(ctx, path::kHistResolution);
-  return out;
+  std::shared_ptr<sorcer::Task> task = exert_hist_query(
+      op::kHistStats, sensor, from, to,
+      static_cast<std::int64_t>(max_resolution), path::kHistResolution);
+  util::Result<hist::StatsResult> result = stats_result(*task, from, to);
+  give_back(std::move(task));
+  return result;
 }
 
 util::Result<hist::SeriesResult> SensorcerFacade::query_range(
     const std::string& sensor, util::SimTime from, util::SimTime to,
     std::size_t max_points) {
-  auto done = exert_hist_query(accessor_, op::kHistRange, sensor, from, to,
-                               static_cast<std::int64_t>(max_points),
-                               path::kHistPoints);
-  if (!done.is_ok()) return done.status();
-  return parse_series(done.value()->context());
+  std::shared_ptr<sorcer::Task> task = exert_hist_query(
+      op::kHistRange, sensor, from, to,
+      static_cast<std::int64_t>(max_points), path::kHistPoints);
+  util::Result<hist::SeriesResult> result = series_result(*task);
+  give_back(std::move(task));
+  return result;
 }
 
 util::Result<hist::SeriesResult> SensorcerFacade::query_downsample(
     const std::string& sensor, util::SimTime from, util::SimTime to,
     std::size_t points) {
-  auto done = exert_hist_query(accessor_, op::kHistDownsample, sensor, from,
-                               to, static_cast<std::int64_t>(points),
-                               path::kHistPoints);
-  if (!done.is_ok()) return done.status();
-  return parse_series(done.value()->context());
+  std::shared_ptr<sorcer::Task> task = exert_hist_query(
+      op::kHistDownsample, sensor, from, to,
+      static_cast<std::int64_t>(points), path::kHistPoints);
+  util::Result<hist::SeriesResult> result = series_result(*task);
+  give_back(std::move(task));
+  return result;
 }
 
 std::vector<util::Result<hist::SeriesResult>>
 SensorcerFacade::query_downsample_many(const std::vector<std::string>& sensors,
                                        util::SimTime from, util::SimTime to,
                                        std::size_t points) {
-  facade_requests().add(1);
+  facade_metrics().requests.add(1);
   obs::Span span = obs::tracer().start_span(
       {"facade.histDownsampleMany[", Decimal(sensors.size()), "]"});
   obs::ContextGuard guard(span.context());
   std::vector<sorcer::ExertionPtr> batch;
   batch.reserve(sensors.size());
   for (const std::string& sensor : sensors) {
-    auto task = sorcer::Task::make(
-        "facade.hist:" + sensor,
-        sorcer::Signature{kDataCollectionType, op::kHistDownsample, ""});
-    sorcer::ServiceContext& ctx = task->context();
-    ctx.put(path::kHistSensor, sensor, sorcer::PathDirection::kIn);
-    ctx.put(path::kHistFrom, static_cast<std::int64_t>(from),
-            sorcer::PathDirection::kIn);
-    ctx.put(path::kHistTo, static_cast<std::int64_t>(to),
-            sorcer::PathDirection::kIn);
-    ctx.put(path::kHistPoints, static_cast<std::int64_t>(points),
-            sorcer::PathDirection::kIn);
-    batch.push_back(std::move(task));
+    batch.push_back(hist_task(op::kHistDownsample, sensor, from, to,
+                              static_cast<std::int64_t>(points),
+                              path::kHistPoints));
   }
   (void)sorcer::exert_all(batch, accessor_);
   std::vector<util::Result<hist::SeriesResult>> out;
   out.reserve(batch.size());
   bool all_ok = true;
   for (const auto& task : batch) {
-    if (task->status() != sorcer::ExertStatus::kDone) {
-      out.emplace_back(task->error());
-      all_ok = false;
-      continue;
-    }
-    out.emplace_back(parse_series(task->context()));
+    out.push_back(series_result(static_cast<const sorcer::Task&>(*task)));
+    all_ok = all_ok && out.back().is_ok();
+  }
+  for (sorcer::ExertionPtr& done : batch) {
+    give_back(std::static_pointer_cast<sorcer::Task>(std::move(done)));
   }
   span.set_ok(all_ok);
   return out;

@@ -5,8 +5,11 @@
 // buttons map to: Get Sensor List / Get Value / Compose Service /
 // Add Expression / Create Service.
 
+#include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/network_manager.h"
@@ -110,10 +113,41 @@ class SensorcerFacade : public sorcer::ServiceProvider {
   [[nodiscard]] sorcer::ServiceAccessor& accessor() { return accessor_; }
 
  private:
+  /// An idle request shell renewed, or a new one (counted in
+  /// facade.tasks_built) when none is idle; the caller names and signs it.
+  std::shared_ptr<sorcer::Task> take_task();
+  /// A read task pinned to the provider `name`.
+  std::shared_ptr<sorcer::Task> read_task(std::string_view name);
+  /// A historian `selector` query task about `sensor` over [from, to),
+  /// with `extra` at `extra_path` (the resolution or point count).
+  std::shared_ptr<sorcer::Task> hist_task(const char* selector,
+                                          const std::string& sensor,
+                                          util::SimTime from, util::SimTime to,
+                                          std::int64_t extra,
+                                          const char* extra_path);
+  /// Keep `task` for a later request when the façade is its sole holder,
+  /// its reply columns fit hist::kMaxKeptPoints and the idle list has
+  /// room; otherwise let it go.
+  void give_back(std::shared_ptr<sorcer::Task> task);
+
+  /// A historian query task for `sensor`, exerted under a
+  /// "facade.<selector>:<sensor>" span; its status says how it ended.
+  std::shared_ptr<sorcer::Task> exert_hist_query(const char* selector,
+                                                 const std::string& sensor,
+                                                 util::SimTime from,
+                                                 util::SimTime to,
+                                                 std::int64_t extra,
+                                                 const char* extra_path);
+
   sorcer::ServiceAccessor& accessor_;
   SensorNetworkManager& manager_;
   SensorServiceProvisioner* provisioner_;
   flow::FlowManager* flows_ = nullptr;
+
+  /// Request shells between requests, like each CSP's collection job: a
+  /// warm request allocates only what it hands back to its caller.
+  std::mutex idle_mu_;
+  std::vector<std::shared_ptr<sorcer::Task>> idle_tasks_;
 };
 
 }  // namespace sensorcer::core

@@ -25,19 +25,32 @@ util::Result<util::SimTime> get_time(const sorcer::ServiceContext& ctx,
                                      "not a time: " + path);
 }
 
+/// The reply column at `path`: the entry's existing series storage (a
+/// renewed shell's spare entry still holds an earlier page's values),
+/// emptied for the caller to fill whole.
+std::vector<double>& reply_column(sorcer::ServiceContext& ctx,
+                                  const char* path) {
+  sorcer::ContextValue& slot =
+      ctx.merge_slot(path, sorcer::PathDirection::kOut);
+  if (auto* column = std::get_if<std::vector<double>>(&slot)) {
+    column->clear();
+    return *column;
+  }
+  return slot.emplace<std::vector<double>>();
+}
+
 void put_points(sorcer::ServiceContext& ctx, const SeriesResult& result) {
-  std::vector<double> timestamps;
-  std::vector<double> values;
+  // Each reference is done with before the next merge_slot may move the
+  // entries.
+  std::vector<double>& timestamps =
+      reply_column(ctx, core::path::kHistTimestamps);
   timestamps.reserve(result.points.size());
-  values.reserve(result.points.size());
   for (const Point& p : result.points) {
     timestamps.push_back(static_cast<double>(p.timestamp));
-    values.push_back(p.value);
   }
-  ctx.put(core::path::kHistTimestamps, std::move(timestamps),
-          sorcer::PathDirection::kOut);
-  ctx.put(core::path::kHistValues, std::move(values),
-          sorcer::PathDirection::kOut);
+  std::vector<double>& values = reply_column(ctx, core::path::kHistValues);
+  values.reserve(result.points.size());
+  for (const Point& p : result.points) values.push_back(p.value);
   ctx.put(core::path::kHistSource, result.source, sorcer::PathDirection::kOut);
   ctx.put(core::path::kHistTruncated, result.truncated,
           sorcer::PathDirection::kOut);
@@ -165,11 +178,12 @@ void Historian::install_operations() {
             max_points = static_cast<std::size_t>(p.value());
           }
         }
-        const SeriesResult result = store_.range(
-            sensor_name.value(), from.value(), to.value(), max_points);
-        pending_extra_ = static_cast<util::SimDuration>(result.points.size()) *
+        store_.range(sensor_name.value(), from.value(), to.value(),
+                     max_points, result_);
+        pending_extra_ = static_cast<util::SimDuration>(result_.points.size()) *
                          costs_.per_point;
-        put_points(ctx, result);
+        put_points(ctx, result_);
+        release_if_oversized(result_.points);
         return util::Status::ok();
       },
       costs_.base);
@@ -191,11 +205,12 @@ void Historian::install_operations() {
             target_points = static_cast<std::size_t>(p.value());
           }
         }
-        const SeriesResult result = store_.downsample(
-            sensor_name.value(), from.value(), to.value(), target_points);
-        pending_extra_ = static_cast<util::SimDuration>(result.points.size()) *
+        store_.downsample(sensor_name.value(), from.value(), to.value(),
+                          target_points, result_);
+        pending_extra_ = static_cast<util::SimDuration>(result_.points.size()) *
                          costs_.per_point;
-        put_points(ctx, result);
+        put_points(ctx, result_);
+        release_if_oversized(result_.points);
         return util::Status::ok();
       },
       costs_.base);

@@ -70,6 +70,10 @@ class Historian final : public sorcer::ServiceProvider {
   /// decoded readings and its name.
   std::vector<sensor::Reading> batch_;
   std::string series_name_;
+  /// histRange / histDownsample answer, filled in place under the
+  /// invocation lock before it is copied into the reply columns; its
+  /// storage is kept between queries up to kMaxKeptPoints.
+  SeriesResult result_;
 };
 
 }  // namespace sensorcer::hist

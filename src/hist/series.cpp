@@ -23,7 +23,30 @@ util::SimTime align_up_to(util::SimTime t, util::SimDuration res) {
   return ((t + res - 1) / res) * res;
 }
 
+/// The active-block copy buffer a ReadView borrows from its thread.
+std::vector<sensor::Reading>& spare_active_copy() {
+  thread_local std::vector<sensor::Reading> spare;
+  return spare;
+}
+
 }  // namespace
+
+SensorSeries::ReadView::ReadView(std::shared_ptr<const Chain> chain_in,
+                                 const sensor::DataLog& active_log,
+                                 util::SimTime last)
+    : chain(std::move(chain_in)),
+      active(std::move(spare_active_copy())),  // leaves the spare empty
+      last_ts(last) {
+  active.clear();
+  active.reserve(active_log.size());
+  active_log.for_each(0, sensor::kEndOfTime,
+                      [this](const sensor::Reading& r) { active.push_back(r); });
+}
+
+SensorSeries::ReadView::~ReadView() {
+  std::vector<sensor::Reading>& spare = spare_active_copy();
+  if (active.capacity() > spare.capacity()) spare = std::move(active);
+}
 
 SensorSeries::SensorSeries(const SeriesConfig& config) : config_(config) {
   if (config_.raw_capacity == 0) config_.raw_capacity = 1;
@@ -199,11 +222,7 @@ std::size_t SensorSeries::shed_coldest() {
 }
 
 SensorSeries::ReadView SensorSeries::read_view_locked() const {
-  ReadView view;
-  view.chain = chain_;
-  view.active = active_.snapshot();
-  view.last_ts = last_ts_;
-  return view;
+  return ReadView(chain_, active_, last_ts_);
 }
 
 const RollupRing* SensorSeries::pick_ring_locked(
@@ -275,7 +294,15 @@ StatsResult SensorSeries::deep_stats(util::SimTime from, util::SimTime to,
 SeriesResult SensorSeries::range(util::SimTime from, util::SimTime to,
                                  std::size_t max_points) const {
   SeriesResult out;
+  range(from, to, max_points, out);
+  return out;
+}
+
+void SensorSeries::range(util::SimTime from, util::SimTime to,
+                         std::size_t max_points, SeriesResult& out) const {
+  out.points.clear();
   out.source = "raw";
+  out.truncated = false;
   std::unique_lock<std::mutex> lock(hot_mu_);
   const ReadView view = read_view_locked();
   lock.unlock();
@@ -299,19 +326,31 @@ SeriesResult SensorSeries::range(util::SimTime from, util::SimTime to,
       take(r);
     }
   }
-  return out;
 }
 
 SeriesResult SensorSeries::downsample(util::SimTime from, util::SimTime to,
                                       std::size_t target_points) const {
   SeriesResult out;
+  downsample(from, to, target_points, out);
+  return out;
+}
+
+void SensorSeries::downsample(util::SimTime from, util::SimTime to,
+                              std::size_t target_points,
+                              SeriesResult& out) const {
+  out.points.clear();
+  out.truncated = false;
   if (to <= from || target_points == 0) {
     out.source = "raw";
-    return out;
+    return;
   }
   const util::SimDuration width = std::max<util::SimDuration>(
       1, (to - from) / static_cast<util::SimDuration>(target_points));
-  std::vector<RollupBucket> bins(target_points);
+  // Per-thread scratch, kept between queries up to kMaxKeptPoints: nothing
+  // below can downsample again on this thread before the points are taken
+  // out.
+  thread_local std::vector<RollupBucket> bins;
+  bins.assign(target_points, RollupBucket{});
   const auto bin_for = [&](util::SimTime ts) -> RollupBucket& {
     auto idx = ts <= from ? 0
                           : static_cast<std::size_t>((ts - from) / width);
@@ -377,10 +416,13 @@ SeriesResult SensorSeries::downsample(util::SimTime from, util::SimTime to,
       add(r);
     }
   }
+  out.points.reserve(static_cast<std::size_t>(std::count_if(
+      bins.begin(), bins.end(),
+      [](const RollupBucket& b) { return !b.empty(); })));
   for (const RollupBucket& b : bins) {
     if (!b.empty()) out.points.push_back({b.start, b.mean()});
   }
-  return out;
+  release_if_oversized(bins);
 }
 
 StatsResult SensorSeries::deep_stats_view(const ReadView& view,

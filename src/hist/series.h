@@ -103,6 +103,19 @@ struct SeriesResult {
   bool truncated = false;
 };
 
+/// The most points that the read path's reused storage (downsample bins,
+/// the historian's kept answer, a façade shell's reply columns) holds on to
+/// between queries. A query that needed more gives its storage back when it
+/// returns, so one huge query does not pin its memory for the life of the
+/// process.
+inline constexpr std::size_t kMaxKeptPoints = 4096;
+
+/// Free `v`'s storage when it outgrew kMaxKeptPoints.
+template <class T>
+void release_if_oversized(std::vector<T>& v) {
+  if (v.capacity() > kMaxKeptPoints) std::vector<T>().swap(v);
+}
+
 class SensorSeries {
  public:
   explicit SensorSeries(const SeriesConfig& config = {});
@@ -175,12 +188,18 @@ class SensorSeries {
   /// longer individually retrievable).
   [[nodiscard]] SeriesResult range(util::SimTime from, util::SimTime to,
                                    std::size_t max_points) const;
+  /// range() into `out`, overwriting it whole and reusing its storage.
+  void range(util::SimTime from, util::SimTime to, std::size_t max_points,
+             SeriesResult& out) const;
 
   /// At most `target_points` (bucket-start, bucket-mean) points over
   /// [from, to), answered from the coarsest ring whose buckets are no wider
   /// than the implied point spacing, falling back to tiers + raw scan.
   [[nodiscard]] SeriesResult downsample(util::SimTime from, util::SimTime to,
                                         std::size_t target_points) const;
+  /// downsample() into `out`, overwriting it whole and reusing its storage.
+  void downsample(util::SimTime from, util::SimTime to,
+                  std::size_t target_points, SeriesResult& out) const;
 
   /// Planner decision (exposed for tests): the ring that would answer a
   /// query reaching back to `from` at `max_resolution`, or nullptr for the
@@ -230,8 +249,18 @@ class SensorSeries {
   };
 
   /// What a deep reader walks after releasing the lock: the chain snapshot
-  /// plus a copy of the (bounded) active block.
+  /// plus a copy of the (bounded) active block. The copy lands in a buffer
+  /// the view borrows from its thread and hands back when it dies, so a warm
+  /// read allocates nothing; a view made while another is alive on the same
+  /// thread finds no buffer to borrow and allocates its own.
   struct ReadView {
+    /// Built under the series lock.
+    ReadView(std::shared_ptr<const Chain> chain_in,
+             const sensor::DataLog& active_log, util::SimTime last);
+    ~ReadView();
+    ReadView(const ReadView&) = delete;
+    ReadView& operator=(const ReadView&) = delete;
+
     std::shared_ptr<const Chain> chain;
     std::vector<sensor::Reading> active;
     util::SimTime last_ts = -1;

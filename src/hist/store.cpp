@@ -58,6 +58,14 @@ bool is_rollup_source(const std::string& source) {
   return util::starts_with(source, "rollup:");
 }
 
+/// The answer for a sensor the store does not hold: no points, source
+/// "none".
+void answer_unknown(SeriesResult& out) {
+  out.points.clear();
+  out.source = "none";
+  out.truncated = false;
+}
+
 void count_query(const std::string& source) {
   StoreMetrics& m = store_metrics();
   if (is_rollup_source(source)) {
@@ -307,29 +315,41 @@ StatsResult HistorianStore::deep_stats(const std::string& sensor,
 SeriesResult HistorianStore::range(const std::string& sensor,
                                    util::SimTime from, util::SimTime to,
                                    std::size_t max_points) const {
+  SeriesResult out;
+  range(sensor, from, to, max_points, out);
+  return out;
+}
+
+void HistorianStore::range(const std::string& sensor, util::SimTime from,
+                           util::SimTime to, std::size_t max_points,
+                           SeriesResult& out) const {
   const std::shared_ptr<SensorSeries> series = find_series(sensor);
   if (series == nullptr) {
-    SeriesResult empty;
-    empty.source = "none";
-    return empty;
+    answer_unknown(out);
+    return;
   }
-  SeriesResult out = series->range(from, to, max_points);
+  series->range(from, to, max_points, out);
   store_metrics().query_raw.add();
-  return out;
 }
 
 SeriesResult HistorianStore::downsample(const std::string& sensor,
                                         util::SimTime from, util::SimTime to,
                                         std::size_t target_points) const {
+  SeriesResult out;
+  downsample(sensor, from, to, target_points, out);
+  return out;
+}
+
+void HistorianStore::downsample(const std::string& sensor, util::SimTime from,
+                                util::SimTime to, std::size_t target_points,
+                                SeriesResult& out) const {
   const std::shared_ptr<SensorSeries> series = find_series(sensor);
   if (series == nullptr) {
-    SeriesResult empty;
-    empty.source = "none";
-    return empty;
+    answer_unknown(out);
+    return;
   }
-  SeriesResult out = series->downsample(from, to, target_points);
+  series->downsample(from, to, target_points, out);
   count_query(out.source);
-  return out;
 }
 
 SensorSeries::Retention HistorianStore::retention(

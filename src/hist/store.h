@@ -111,11 +111,18 @@ class HistorianStore {
   [[nodiscard]] SeriesResult range(const std::string& sensor,
                                    util::SimTime from, util::SimTime to,
                                    std::size_t max_points) const;
+  /// range() into `out`, overwriting it whole and reusing its storage.
+  void range(const std::string& sensor, util::SimTime from, util::SimTime to,
+             std::size_t max_points, SeriesResult& out) const;
 
   /// At most target_points bucket-mean points over [from, to).
   [[nodiscard]] SeriesResult downsample(const std::string& sensor,
                                         util::SimTime from, util::SimTime to,
                                         std::size_t target_points) const;
+  /// downsample() into `out`, overwriting it whole and reusing its storage.
+  void downsample(const std::string& sensor, util::SimTime from,
+                  util::SimTime to, std::size_t target_points,
+                  SeriesResult& out) const;
 
   /// Exact retention boundaries of one segment ({-1, -1} when unknown):
   /// readings at/after raw_from are individually retrievable; readings in

@@ -24,6 +24,18 @@ void Exertion::renew() {
   context_.clear();
 }
 
+void Exertion::rename(std::initializer_list<std::string_view> parts) {
+  name_.clear();  // capacity retained
+  for (std::string_view part : parts) name_ += part;
+}
+
+void Task::resign(std::string_view service_type, std::string_view selector,
+                  std::string_view provider_name) {
+  signature_.service_type.assign(service_type);
+  signature_.selector.assign(selector);
+  signature_.provider_name.assign(provider_name);
+}
+
 void Job::renew() {
   Exertion::renew();
   for (const auto& child : children_) child->renew();

@@ -7,8 +7,10 @@
 // context and collect results, a latency account and an execution trace as
 // the federation runs them.
 
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/trace.h"
@@ -87,6 +89,11 @@ class Exertion {
   /// still parked on the fabric would otherwise write into the next run.
   virtual void renew();
 
+  /// Give the exertion the name joined from `parts`, written into the
+  /// name's own storage: a renewed shell takes any name without allocating
+  /// once its capacity fits.
+  void rename(std::initializer_list<std::string_view> parts);
+
   /// Accumulated modeled service latency (virtual time).
   [[nodiscard]] util::SimDuration latency() const { return latency_; }
   void add_latency(util::SimDuration d) { latency_ += d; }
@@ -127,6 +134,11 @@ class Task final : public Exertion {
 
   [[nodiscard]] Kind kind() const override { return Kind::kTask; }
   [[nodiscard]] const Signature& signature() const { return signature_; }
+
+  /// Bind a renewed shell to another operation and provider pin, each part
+  /// written into the signature's own strings (see rename()).
+  void resign(std::string_view service_type, std::string_view selector,
+              std::string_view provider_name);
 
   static std::shared_ptr<Task> make(std::string name, Signature signature) {
     return std::make_shared<Task>(std::move(name), std::move(signature));

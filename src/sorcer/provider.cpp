@@ -1,6 +1,7 @@
 #include "sorcer/provider.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -24,6 +25,12 @@ TaskMetrics& task_metrics() {
                        obs::metrics().histogram("sorcer.task.latency_us")};
   return m;
 }
+
+/// The hop span that delivered the request this thread is dispatching:
+/// handle_network_message sets it around service() when the request
+/// carried a trace, and ServiceProvider::service takes it on entry, so a
+/// call that service() makes itself does not inherit it.
+thread_local obs::TraceContext t_delivering_hop{};
 
 }  // namespace
 
@@ -129,7 +136,13 @@ void ServiceProvider::handle_network_message(simnet::Message& msg) {
     }
   }
 
+  // A traced request is delivered under its `net.recv:` hop span, which is
+  // the current context here; the provider's work nests under that hop.
+  const obs::TraceContext outer_hop = std::exchange(
+      t_delivering_hop,
+      msg.trace.valid() ? obs::current_context() : obs::TraceContext{});
   auto result = service(req->exertion, req->txn);
+  t_delivering_hop = outer_hop;
 
   // Marshal the post-dispatch outputs into a pooled buffer; the requestor
   // merges them into its context on gather (it still holds the inputs, so
@@ -209,6 +222,7 @@ void ServiceProvider::crash() {
 
 util::Result<ExertionPtr> ServiceProvider::service(
     ExertionPtr exertion, registry::Transaction* /*txn*/) {
+  const obs::TraceContext hop = std::exchange(t_delivering_hop, {});
   if (!exertion) {
     return util::Status{util::ErrorCode::kInvalidArgument, "null exertion"};
   }
@@ -237,12 +251,16 @@ util::Result<ExertionPtr> ServiceProvider::service(
   }
 
   std::lock_guard lock(mu_);
-  // Invocation span: parented on the exertion's context (stamped by exert()
-  // and carried on the exertion) so the provider call links into the
-  // request's trace even when dispatched from a bare scheduler callback.
-  obs::TraceContext parent = task->trace_context().valid()
-                                 ? task->trace_context()
-                                 : obs::current_context();
+  // Invocation span: parented on the hop that delivered the request, so the
+  // provider's work nests under the requestor's `rpc:` span. A request that
+  // carried no trace falls back to the exertion's context (stamped by
+  // exert()). The hop is not written into the exertion: that object is
+  // still the requestor's.
+  obs::TraceContext parent = hop;
+  if (!parent.valid()) {
+    parent = task->trace_context().valid() ? task->trace_context()
+                                           : obs::current_context();
+  }
   obs::Span span =
       obs::tracer().start_span({"invoke:", name_, "#", sig.selector}, parent);
   obs::ContextGuard trace_guard(span.context());

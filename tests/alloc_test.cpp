@@ -1,10 +1,15 @@
-// Allocation gates for the event loop and the composite read: once warm,
-// scheduling and firing a timer (one-shot or recurring), a send + deliver
-// on the fabric (untraced, or traced with a request-shaped body), a
-// BufferPool acquire/release, refilling a cleared context and a composite
-// read over the wire allocate nothing. This executable replaces the global
-// operator new with a counting one (alloc_counter.cpp); each test counts
-// the allocations its calling thread makes inside a measured window.
+// Allocation gates for the event loop, the composite read and the façade:
+// once warm, scheduling and firing a timer (one-shot or recurring), a
+// send + deliver on the fabric (untraced, or traced with a request-shaped
+// body), a BufferPool acquire/release, refilling a cleared context, a
+// composite read over the wire, the same read through the façade and a
+// façade stats query allocate nothing; a façade range query allocates only
+// the point vector it returns, and a dashboard page its point vectors, its
+// result vector and its batch of requests. Storage the historian reuses
+// between queries is given back after a huge one. This executable replaces
+// the global operator new with a counting one (alloc_counter.cpp); each
+// test counts the allocations its calling thread makes inside a measured
+// window.
 
 #include <gtest/gtest.h>
 
@@ -15,15 +20,21 @@
 #include <vector>
 
 #include "core/deployment.h"
+#include "core/interfaces.h"
+#include "hist/historian.h"
+#include "hist/series.h"
 #include "obs/trace.h"
 #include "simnet/network.h"
 #include "sorcer/codec.h"
+#include "sorcer/exertion.h"
 #include "util/scheduler.h"
+#include "util/strings.h"
 
 // The counting operator new (alloc_counter.cpp).
 namespace alloc_counter {
 void start();
 std::uint64_t stop();
+std::int64_t live_bytes();
 }  // namespace alloc_counter
 
 namespace sensorcer {
@@ -244,6 +255,159 @@ TEST(AllocationGate, WarmCompositeReadAllocatesNothing) {
   EXPECT_TRUE(all_ok);
   EXPECT_LE(allocations, kReads * kPerRead)
       << static_cast<double>(allocations) / kReads << " per read";
+}
+
+/// A deployment with no sampling timers and hour-long leases, so nothing
+/// but the measured requests runs inside a measured window.
+core::DeploymentConfig quiet_config() {
+  core::DeploymentConfig config;
+  config.with_flow = false;
+  config.sampling.sample_period = 0;
+  config.lease_duration = util::kHour;
+  return config;
+}
+
+TEST(AllocationGate, WarmFacadeGetValueAllocatesNothing) {
+  // The 4-leaf composite read of WarmCompositeReadAllocatesNothing, asked
+  // through the façade: its request task is renewed like the composite's
+  // collection job, so a warm request allocates nothing either.
+  core::DeploymentConfig config = quiet_config();
+  config.with_historian = false;
+  core::Deployment lab(config);
+  for (const char* name : {"S0", "S1", "S2", "S3"}) {
+    lab.add_temperature_sensor(name, 20.0);
+  }
+  lab.pump(util::kSecond);
+  auto csp = lab.manager().create_composite("C");
+  for (const char* name : {"S0", "S1", "S2", "S3"}) {
+    ASSERT_TRUE(csp->add_component(name).is_ok());
+  }
+  for (int i = 0; i < 50; ++i) ASSERT_TRUE(lab.facade().get_value("C").is_ok());
+
+  constexpr std::uint64_t kReads = 100;
+  bool all_ok = true;
+  const std::uint64_t allocations = allocations_in([&] {
+    for (std::uint64_t i = 0; i < kReads; ++i) {
+      all_ok = lab.facade().get_value("C").is_ok() && all_ok;
+    }
+  });
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(allocations, 0u)
+      << static_cast<double>(allocations) / kReads << " per read";
+}
+
+/// Eight sensors preloaded with 3 h of 1 Hz history straight into the
+/// historian's store: the raw blocks, the 1 s tier and the 60 s tier all
+/// hold some of it.
+class WarmHistorianQuery : public ::testing::Test {
+ protected:
+  static constexpr util::SimTime kHistory = 3 * util::kHour;
+  static constexpr std::size_t kPoints = 64;
+
+  WarmHistorianQuery() : lab(quiet_config()) {
+    for (int s = 0; s < 8; ++s) {
+      sensors.push_back(util::format("floor-3/t-%03d", s));
+    }
+    std::vector<sensor::Reading> chunk;
+    for (util::SimTime t0 = 0; t0 < kHistory; t0 += util::kHour) {
+      for (std::size_t s = 0; s < sensors.size(); ++s) {
+        chunk.clear();
+        for (util::SimTime t = t0; t < t0 + util::kHour; t += util::kSecond) {
+          chunk.push_back({t, 20.0 + static_cast<double>(s) +
+                                   static_cast<double>(t % 600) / 600.0,
+                           sensor::Quality::kGood, 0});
+        }
+        lab.historian()->store().append(sensors[s], chunk);
+      }
+    }
+    lab.pump(util::kSecond);
+  }
+
+  /// Allocations per page of `pages` warm dashboard pages over [from, to).
+  double page_allocations(util::SimTime from, util::SimTime to) {
+    constexpr int kPages = 20;
+    for (int i = 0; i < 5; ++i) {
+      (void)lab.facade().query_downsample_many(sensors, from, to, kPoints);
+    }
+    std::vector<util::Result<hist::SeriesResult>> page;
+    std::size_t points = 0;
+    const std::uint64_t allocations = allocations_in([&] {
+      for (int i = 0; i < kPages; ++i) {
+        page = lab.facade().query_downsample_many(sensors, from, to, kPoints);
+        for (const auto& series : page) {
+          points += series.is_ok() ? series.value().points.size() : 0;
+        }
+      }
+    });
+    EXPECT_GT(points, 0u);
+    return static_cast<double>(allocations) / kPages;
+  }
+
+  core::Deployment lab;
+  std::vector<std::string> sensors;
+};
+
+TEST_F(WarmHistorianQuery, DownsamplePageAllocatesOnlyWhatItReturns) {
+  // A page hands back one point vector per sensor and the vector of
+  // results, and builds the batch it exerts: 10 allocations. The façade's
+  // request tasks, their contexts, the historian's answer, its reply
+  // columns, the downsample bins and the active-block copy all reuse
+  // storage. Once over a ring window (the last 30 min) and once over a
+  // window past the raw blocks (the last 6 h), answered from the tiers,
+  // the sealed blocks and the active block.
+  EXPECT_EQ(page_allocations(kHistory - 30 * util::kMinute, kHistory), 10.0);
+  EXPECT_EQ(page_allocations(kHistory - 6 * util::kHour, kHistory), 10.0);
+}
+
+TEST_F(WarmHistorianQuery, StatsAllocateNothingAndARangeOnlyItsPoints) {
+  // Each kind measured on its own, after warm requests of the same kind.
+  const util::SimTime from = kHistory - 10 * util::kMinute;
+  const auto stats = [&] {
+    return lab.facade().query_stats(sensors[3], from, kHistory, 0);
+  };
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(stats().is_ok());
+  util::Result<hist::StatsResult> answered = hist::StatsResult{};
+  EXPECT_EQ(allocations_in([&] { answered = stats(); }), 0u);
+  ASSERT_TRUE(answered.is_ok());
+  EXPECT_EQ(answered.value().stats.count, 600u);
+
+  const auto range = [&] {
+    return lab.facade().query_range(sensors[3], from, kHistory, 1024);
+  };
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(range().is_ok());
+  util::Result<hist::SeriesResult> points = hist::SeriesResult{};
+  EXPECT_EQ(allocations_in([&] { points = range(); }), 1u);
+  ASSERT_TRUE(points.is_ok());
+  EXPECT_EQ(points.value().points.size(), 600u);
+}
+
+TEST_F(WarmHistorianQuery, HugeQueryGivesItsStorageBackWhenItReturns) {
+  // The historian keeps its answer and each thread its downsample bins
+  // between queries, but only up to hist::kMaxKeptPoints: a query that
+  // needed far more frees them when it returns. Asked of the historian
+  // directly, so no wire buffer carries a copy of the huge reply.
+  hist::Historian& historian = *lab.historian();
+  const auto downsample = [&](std::int64_t points) {
+    auto task = sorcer::Task::make(
+        "q", sorcer::Signature{core::kDataCollectionType,
+                               core::op::kHistDownsample, ""});
+    sorcer::ServiceContext& ctx = task->context();
+    ctx.put(core::path::kHistSensor, sensors[0]);
+    ctx.put(core::path::kHistFrom, std::int64_t{0});
+    ctx.put(core::path::kHistTo, std::int64_t{kHistory});
+    ctx.put(core::path::kHistPoints, points);
+    (void)historian.service(task, nullptr);
+    EXPECT_EQ(task->status(), sorcer::ExertStatus::kDone);
+    const std::vector<double>* values =
+        task->context().peek_series(core::path::kHistValues);
+    return values == nullptr ? std::size_t{0} : values->size();
+  };
+  for (int i = 0; i < 3; ++i) ASSERT_EQ(downsample(kPoints), kPoints);
+  const std::int64_t before = alloc_counter::live_bytes();
+  ASSERT_GT(downsample(100'000), hist::kMaxKeptPoints);
+  ASSERT_EQ(downsample(kPoints), kPoints);
+  // 100,000 bins alone are 5.6 MB, the answer past 4,096 points 64 KiB.
+  EXPECT_LT(alloc_counter::live_bytes() - before, 16 * 1024);
 }
 
 }  // namespace

@@ -499,7 +499,18 @@ TEST(SensorSeries, ConcurrentReadersNeverBlockOrTearWhileAppending) {
                       range.points[i].timestamp);
           }
         }
-        (void)series.downsample(0, hi + 1, 32);
+        // A racing downsample fills per-thread bins and borrows a
+        // per-thread active-block copy: at most 32 points, bucket starts
+        // ascending and inside the window.
+        const auto points = series.downsample(0, hi + 1, 32).points;
+        EXPECT_LE(points.size(), 32u);
+        for (std::size_t i = 0; i < points.size(); ++i) {
+          EXPECT_GE(points[i].timestamp, 0);
+          EXPECT_LE(points[i].timestamp, hi);
+          if (i > 0) {
+            EXPECT_LT(points[i - 1].timestamp, points[i].timestamp);
+          }
+        }
         (void)series.deep_stats(0, hi + 1, 60 * kSecond);
         queries.fetch_add(1, std::memory_order_relaxed);
       }
@@ -958,6 +969,173 @@ TEST(HistorianDeployment, DashboardFanOutAnswersEachSensorPositionally) {
   // Unknown sensors answer an empty series, not a batch failure.
   ASSERT_TRUE(page[2].is_ok());
   EXPECT_TRUE(page[2].value().points.empty());
+}
+
+/// A deployment whose historian is preloaded straight through its store:
+/// three sensors with 3 h of 1 Hz history, one whose history ends an hour
+/// before the queried windows, and nothing about "Ghost-Sensor". Façade
+/// answers are checked against the store's own downsample.
+class FacadeShellReuse : public ::testing::Test {
+ protected:
+  static constexpr util::SimTime kHistory = 3 * util::kHour;
+
+  FacadeShellReuse() : lab(config()) {
+    preload("Oak-Sensor", 0, kHistory, 20.0);
+    preload("Elm-Sensor", 0, kHistory, 30.0);
+    preload("Ash-Sensor", 0, kHistory, 40.0);
+    preload("Quiet-Sensor", 0, kHistory - util::kHour, 50.0);
+    lab.pump(kSecond);
+  }
+
+  static core::DeploymentConfig config() {
+    core::DeploymentConfig c;
+    c.with_flow = false;
+    c.sampling.sample_period = 0;
+    c.lease_duration = util::kHour;
+    return c;
+  }
+
+  void preload(const std::string& sensor, util::SimTime from, util::SimTime to,
+               double base) {
+    std::vector<Reading> readings;
+    for (util::SimTime t = from; t < to; t += kSecond) {
+      readings.push_back(make_reading(
+          t, base + static_cast<double>((t / kSecond) % 120) / 10.0));
+    }
+    lab.historian()->store().append(sensor, readings);
+  }
+
+  /// One façade page, each series compared with a direct store downsample.
+  void expect_page(const std::vector<std::string>& sensors, util::SimTime from,
+                   util::SimTime to, std::size_t points = 32) {
+    const auto page =
+        lab.facade().query_downsample_many(sensors, from, to, points);
+    ASSERT_EQ(page.size(), sensors.size());
+    for (std::size_t i = 0; i < sensors.size(); ++i) {
+      SCOPED_TRACE(sensors[i]);
+      ASSERT_TRUE(page[i].is_ok()) << page[i].status().message();
+      const SeriesResult direct =
+          lab.historian()->store().downsample(sensors[i], from, to, points);
+      const SeriesResult& got = page[i].value();
+      EXPECT_EQ(got.source, direct.source);
+      ASSERT_EQ(got.points.size(), direct.points.size());
+      for (std::size_t p = 0; p < got.points.size(); ++p) {
+        EXPECT_EQ(got.points[p].timestamp, direct.points[p].timestamp);
+        EXPECT_EQ(got.points[p].value, direct.points[p].value);
+      }
+    }
+  }
+
+  core::Deployment lab;
+};
+
+TEST_F(FacadeShellReuse, ConsecutivePagesNeverLeakAnEarlierAnswer) {
+  const util::SimTime ring_from = kHistory - 30 * util::kMinute;
+  const util::SimTime tier_from = kHistory - 6 * util::kHour;
+  // Every shell holds points after the first page; the later pages reuse
+  // them for overlapping and disjoint sensor sets, a sensor with nothing
+  // in the window and one the historian has never heard of.
+  expect_page({"Oak-Sensor", "Elm-Sensor", "Ash-Sensor"}, ring_from, kHistory);
+  expect_page({"Ghost-Sensor", "Quiet-Sensor", "Oak-Sensor"}, ring_from,
+              kHistory);
+  expect_page({"Ash-Sensor", "Ghost-Sensor"}, tier_from, kHistory, 64);
+  expect_page({"Quiet-Sensor", "Elm-Sensor", "Ghost-Sensor", "Oak-Sensor"},
+              tier_from, kHistory);
+  expect_page({"Ghost-Sensor"}, ring_from, kHistory);
+
+  const auto ghost = lab.facade().query_downsample_many(
+      {"Ghost-Sensor", "Quiet-Sensor"}, ring_from, kHistory, 32);
+  ASSERT_EQ(ghost.size(), 2u);
+  ASSERT_TRUE(ghost[0].is_ok());
+  EXPECT_TRUE(ghost[0].value().points.empty());
+  EXPECT_EQ(ghost[0].value().source, "none");
+  ASSERT_TRUE(ghost[1].is_ok());
+  EXPECT_TRUE(ghost[1].value().points.empty());
+
+  // Single queries take the same shells and answer alike.
+  const auto one = lab.facade().query_downsample("Elm-Sensor", ring_from,
+                                                 kHistory, 16);
+  ASSERT_TRUE(one.is_ok());
+  EXPECT_EQ(one.value().points.size(),
+            lab.historian()
+                ->store()
+                .downsample("Elm-Sensor", ring_from, kHistory, 16)
+                .points.size());
+  const auto none = lab.facade().query_range("Ghost-Sensor", ring_from,
+                                             kHistory, 1024);
+  ASSERT_TRUE(none.is_ok());
+  EXPECT_TRUE(none.value().points.empty());
+  EXPECT_EQ(none.value().source, "none");
+}
+
+TEST_F(FacadeShellReuse, PageThatTimesOutLeavesItsParkedShellsBehind) {
+  const std::vector<std::string> sensors{"Oak-Sensor", "Elm-Sensor",
+                                         "Ash-Sensor"};
+  const util::SimTime from = kHistory - 30 * util::kMinute;
+  expect_page(sensors, from, kHistory);  // three shells idle now
+  const auto built = counter("facade.tasks_built");
+
+  // The deadline passes while the page's requests are still parked on the
+  // fabric: the one-way hop alone outlasts it.
+  lab.invoker().set_call_timeout(lab.network().latency() / 2);
+  const auto timed_out =
+      lab.facade().query_downsample_many(sensors, from, kHistory, 32);
+  ASSERT_EQ(timed_out.size(), sensors.size());
+  for (const auto& series : timed_out) EXPECT_FALSE(series.is_ok());
+  EXPECT_EQ(counter("facade.tasks_built"), built);
+
+  // The next page follows at once, while the late requests run and their
+  // replies land. The parked requests still hold the old shells, so this
+  // page runs on fresh ones the late runs cannot write into.
+  lab.invoker().set_call_timeout(sorcer::InvokeConfig{}.call_timeout);
+  expect_page(sensors, from, kHistory);
+  EXPECT_EQ(counter("facade.tasks_built"), built + sensors.size());
+
+  // Nothing holds the fresh shells once their page lands: they are reused.
+  expect_page(sensors, from, kHistory);
+  EXPECT_EQ(counter("facade.tasks_built"), built + sensors.size());
+}
+
+TEST_F(FacadeShellReuse, ShellThatCarriedAHugeAnswerIsLetGo) {
+  const util::SimTime ring_from = kHistory - 30 * util::kMinute;
+  expect_page({"Oak-Sensor"}, ring_from, kHistory);  // one shell idle now
+  const auto built = counter("facade.tasks_built");
+
+  // A downsample into 100,000 points answers with every reading and
+  // bucket the window holds, far past what a shell may keep.
+  const auto huge =
+      lab.facade().query_downsample("Oak-Sensor", 0, kHistory, 100'000);
+  ASSERT_TRUE(huge.is_ok());
+  EXPECT_GT(huge.value().points.size(), hist::kMaxKeptPoints);
+  EXPECT_EQ(counter("facade.tasks_built"), built);
+
+  // Its shell was let go, so the next request builds one; that one is an
+  // ordinary size and stays.
+  expect_page({"Oak-Sensor"}, ring_from, kHistory);
+  EXPECT_EQ(counter("facade.tasks_built"), built + 1);
+  expect_page({"Oak-Sensor"}, ring_from, kHistory);
+  EXPECT_EQ(counter("facade.tasks_built"), built + 1);
+}
+
+TEST_F(FacadeShellReuse, FailedReadThenAGoodOneReturnsTheGoodValue) {
+  lab.add_temperature_sensor("Fern-Sensor", 21.0);
+  lab.pump(kSecond);
+  const auto good = lab.facade().get_value("Fern-Sensor");
+  ASSERT_TRUE(good.is_ok());
+  // The shell that carried the good value serves the failing read, which
+  // must fail rather than answer with the value left from before.
+  const auto bad = lab.facade().get_value("no-such-sensor");
+  EXPECT_FALSE(bad.is_ok());
+  const auto again = lab.facade().get_value("Fern-Sensor");
+  ASSERT_TRUE(again.is_ok());
+  EXPECT_GT(again.value(), 16.0);
+  EXPECT_LT(again.value(), 26.0);
+  const auto values =
+      lab.facade().get_values({"no-such-sensor", "Fern-Sensor"});
+  ASSERT_EQ(values.size(), 2u);
+  EXPECT_FALSE(values[0].is_ok());
+  ASSERT_TRUE(values[1].is_ok());
+  EXPECT_GT(values[1].value(), 16.0);
 }
 
 /// Threads of this process, one /proc/self/task entry each.

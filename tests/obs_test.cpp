@@ -20,6 +20,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "simnet/network.h"
+#include "sorcer/exert.h"
 #include "util/scheduler.h"
 
 namespace sensorcer {
@@ -473,8 +474,10 @@ TEST(ObsIntegration, FacadeRequestProducesConnectedTraceAndTraffic) {
 TEST(ObsIntegration, FacadeReadOfATwoLevelCompositeRendersItsGoldenTree) {
   // Every span op a read crosses — facade.getValue:, exert:, rpc:,
   // net.recv:, invoke: and probe: — rendered with simulated durations
-  // only. The names are joined from parts into inline buffers; the tree
-  // must read exactly as it did when each site built its name as a string.
+  // only. Each provider's invoke: span nests under the
+  // net.recv:invoke.request hop that delivered its call, so a call reads
+  // rpc: → request hop → invoke: → the provider's own work, with the
+  // response hop beside the invoke: span.
   reset_global_obs();
   core::Deployment lab;
   lab.add_temperature_sensor("t-1", 20.0);
@@ -496,43 +499,102 @@ TEST(ObsIntegration, FacadeReadOfATwoLevelCompositeRendersItsGoldenTree) {
   const std::string golden =
       "facade.getValue:house  [4.900ms]\n"
       "└─ exert:facade.read:house  [4.900ms]\n"
-      "   ├─ invoke:house#getValue  [3.500ms]\n"
-      "   │  └─ exert:house.collect  [3.500ms]\n"
-      "   │     ├─ exert:a  [2.900ms]\n"
-      "   │     │  ├─ invoke:room#getValue  [1.500ms]\n"
-      "   │     │  │  └─ exert:room.collect  [1.500ms]\n"
-      "   │     │  │     ├─ exert:a  [900us]\n"
-      "   │     │  │     │  ├─ invoke:t-1#getValue  [0us]\n"
-      "   │     │  │     │  │  └─ probe:t-1  [0us]\n"
-      "   │     │  │     │  └─ rpc:a->t-1  [900us]\n"
-      "   │     │  │     │     └─ net.recv:invoke.request  [0us]\n"
-      "   │     │  │     │        └─ net.recv:invoke.response  [0us]\n"
-      "   │     │  │     ├─ exert:b  [900us]\n"
-      "   │     │  │     │  ├─ invoke:t-2#getValue  [0us]\n"
-      "   │     │  │     │  │  └─ probe:t-2  [0us]\n"
-      "   │     │  │     │  └─ rpc:b->t-2  [900us]\n"
-      "   │     │  │     │     └─ net.recv:invoke.request  [0us]\n"
-      "   │     │  │     │        └─ net.recv:invoke.response  [0us]\n"
-      "   │     │  │     └─ rpc:room.collect->Jobber  [1.500ms]\n"
-      "   │     │  │        └─ net.recv:invoke.request  [900us]\n"
-      "   │     │  │           └─ net.recv:invoke.response  [0us]\n"
-      "   │     │  └─ rpc:a->room  [2.900ms]\n"
-      "   │     │     └─ net.recv:invoke.request  [1.500ms]\n"
-      "   │     │        └─ net.recv:invoke.response  [0us]\n"
-      "   │     ├─ exert:b  [2.900ms]\n"
-      "   │     │  ├─ invoke:t-3#getValue  [0us]\n"
-      "   │     │  │  └─ probe:t-3  [0us]\n"
-      "   │     │  └─ rpc:b->t-3  [1.700ms]\n"
-      "   │     │     └─ net.recv:invoke.request  [0us]\n"
-      "   │     │        └─ net.recv:invoke.response  [0us]\n"
-      "   │     └─ rpc:house.collect->Jobber  [3.500ms]\n"
-      "   │        └─ net.recv:invoke.request  [2.900ms]\n"
-      "   │           └─ net.recv:invoke.response  [0us]\n"
       "   └─ rpc:facade.read:house->house  [4.900ms]\n"
       "      └─ net.recv:invoke.request  [3.500ms]\n"
+      "         ├─ invoke:house#getValue  [3.500ms]\n"
+      "         │  └─ exert:house.collect  [3.500ms]\n"
+      "         │     ├─ exert:a  [2.900ms]\n"
+      "         │     │  └─ rpc:a->room  [2.900ms]\n"
+      "         │     │     └─ net.recv:invoke.request  [1.500ms]\n"
+      "         │     │        ├─ invoke:room#getValue  [1.500ms]\n"
+      "         │     │        │  └─ exert:room.collect  [1.500ms]\n"
+      "         │     │        │     ├─ exert:a  [900us]\n"
+      "         │     │        │     │  └─ rpc:a->t-1  [900us]\n"
+      "         │     │        │     │     └─ net.recv:invoke.request  [0us]\n"
+      "         │     │        │     │        ├─ invoke:t-1#getValue  [0us]\n"
+      "         │     │        │     │        │  └─ probe:t-1  [0us]\n"
+      "         │     │        │     │        └─ net.recv:invoke.response  [0us]\n"
+      "         │     │        │     ├─ exert:b  [900us]\n"
+      "         │     │        │     │  └─ rpc:b->t-2  [900us]\n"
+      "         │     │        │     │     └─ net.recv:invoke.request  [0us]\n"
+      "         │     │        │     │        ├─ invoke:t-2#getValue  [0us]\n"
+      "         │     │        │     │        │  └─ probe:t-2  [0us]\n"
+      "         │     │        │     │        └─ net.recv:invoke.response  [0us]\n"
+      "         │     │        │     └─ rpc:room.collect->Jobber  [1.500ms]\n"
+      "         │     │        │        └─ net.recv:invoke.request  [900us]\n"
+      "         │     │        │           └─ net.recv:invoke.response  [0us]\n"
+      "         │     │        └─ net.recv:invoke.response  [0us]\n"
+      "         │     ├─ exert:b  [2.900ms]\n"
+      "         │     │  └─ rpc:b->t-3  [1.700ms]\n"
+      "         │     │     └─ net.recv:invoke.request  [0us]\n"
+      "         │     │        ├─ invoke:t-3#getValue  [0us]\n"
+      "         │     │        │  └─ probe:t-3  [0us]\n"
+      "         │     │        └─ net.recv:invoke.response  [0us]\n"
+      "         │     └─ rpc:house.collect->Jobber  [3.500ms]\n"
+      "         │        └─ net.recv:invoke.request  [2.900ms]\n"
+      "         │           └─ net.recv:invoke.response  [0us]\n"
       "         └─ net.recv:invoke.response  [0us]\n";
   EXPECT_EQ(obs::render_trace_tree(obs::span_collector().trace(trace_id)),
             golden);
+}
+
+TEST(ObsIntegration, InvokeSpanParentsOnTheHopThatDeliveredTheCall) {
+  reset_global_obs();
+  core::Deployment lab;
+  auto sensor = lab.add_temperature_sensor("t-1", 20.0);
+  lab.pump(util::kSecond);
+  obs::span_collector().clear();
+
+  // Over the wire: the request carried the rpc: span's trace, so the
+  // provider's work nests under the hop that delivered it.
+  auto task = sorcer::Task::make(
+      "read", sorcer::Signature{core::kSensorDataAccessorType,
+                                core::op::kGetValue, "t-1"});
+  obs::Span root = obs::tracer().start_span("client.read");
+  {
+    obs::ContextGuard guard(root.context());
+    ASSERT_TRUE(sorcer::exert(task, lab.accessor()).is_ok());
+  }
+  root.finish();
+  std::map<std::uint64_t, obs::SpanRecord> by_id;
+  const obs::SpanRecord* invoke = nullptr;
+  const obs::SpanRecord* exert = nullptr;
+  for (const auto& span : obs::span_collector().snapshot()) {
+    by_id[span.span_id] = span;
+  }
+  for (const auto& [id, span] : by_id) {
+    if (span.name == "invoke:t-1#getValue") invoke = &span;
+    if (span.name == "exert:read") exert = &span;
+  }
+  ASSERT_NE(invoke, nullptr);
+  ASSERT_NE(exert, nullptr);
+  ASSERT_TRUE(by_id.contains(invoke->parent_id));
+  const obs::SpanRecord& hop = by_id.at(invoke->parent_id);
+  EXPECT_EQ(hop.name, "net.recv:invoke.request");
+  ASSERT_TRUE(by_id.contains(hop.parent_id));
+  EXPECT_EQ(by_id.at(hop.parent_id).name, "rpc:read->t-1");
+  // The hop is not written into the exertion, which is the requestor's:
+  // it still carries its own exert: span.
+  EXPECT_EQ(task->trace_context().span_id, exert->span_id);
+
+  // A direct dispatch, with no request behind it, parents on the context
+  // stamped on the exertion.
+  obs::span_collector().clear();
+  obs::Span stamp = obs::tracer().start_span("client.stamp");
+  auto direct = sorcer::Task::make(
+      "direct", sorcer::Signature{core::kSensorDataAccessorType,
+                                  core::op::kGetValue, "t-1"});
+  direct->set_trace_context(stamp.context());
+  ASSERT_TRUE(sensor->service(direct, nullptr).is_ok());
+  const std::uint64_t stamp_id = stamp.context().span_id;
+  stamp.finish();
+  bool found = false;
+  for (const auto& span : obs::span_collector().snapshot()) {
+    if (span.name != "invoke:t-1#getValue") continue;
+    found = true;
+    EXPECT_EQ(span.parent_id, stamp_id);
+  }
+  EXPECT_TRUE(found);
 }
 
 TEST(ObsIntegration, SnapshotUnderSimTimeIsDeterministicAcrossRuns) {
